@@ -38,20 +38,15 @@ class BalanceResult:
     layout, as (task id, line cycle time after the split).
     """
 
+    method: Method
     plan: ProcessPlan
     allocation: Allocation
     line_cycle_time: Fraction
-    method: Method
     iterations: tuple[tuple[int, Fraction], ...] = ()
 
     @property
     def total_stations(self) -> int:
         return self.allocation.total
-
-
-def _require_tasks(plan: ProcessPlan) -> None:
-    if not plan.tasks:
-        raise DomainError("plan has no tasks to balance")
 
 
 def _bottleneck_id(plan: ProcessPlan, stations: dict[int, int]) -> int:
@@ -73,7 +68,6 @@ def greedy_balance(plan: ProcessPlan, target_ct=None) -> BalanceResult:
     seat budget is spent, or as soon as the line cycle time reaches target_ct
     when a target is given.
     """
-    _require_tasks(plan)
     if target_ct is not None:
         target_ct = as_fraction(target_ct)
         if target_ct <= 0:
@@ -113,7 +107,6 @@ def optimal_balance(plan: ProcessPlan) -> BalanceResult:
     seats are then spent on the current bottleneck so the reported total
     matches the budget.
     """
-    _require_tasks(plan)
     budget = plan.seat_budget
     candidates = sorted({t.cycle_time / k for t in plan.tasks for k in range(1, budget + 1)})
 
@@ -162,7 +155,6 @@ def exhaustive_balance(plan: ProcessPlan) -> BalanceResult:
     the lexicographically smallest station vector in plan order. Refuses
     instances above 10 tasks or 16 seats.
     """
-    _require_tasks(plan)
     n = len(plan.tasks)
     if n > EXHAUSTIVE_MAX_TASKS or plan.seat_budget > EXHAUSTIVE_MAX_SEATS:
         raise InstanceTooLargeError(

@@ -19,11 +19,9 @@ from .io import (
     load_tasks,
 )
 from .metrics import compare
-from .model import Allocation, ProcessPlan, as_fraction
+from .model import SECONDS_PER_HOUR, Allocation, ProcessPlan, as_fraction
 from .robust import alpha_sweep, effective_intervals, robust_line_report
 from .simulator import SimConfig, simulate, verify_against_static
-
-SECONDS_PER_HOUR = 3600
 
 
 def _plan_from_args(args) -> ProcessPlan:

@@ -9,9 +9,13 @@ printed shop figures these reports sit next to are produced.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import io as _stringio
 import json
-from dataclasses import dataclass
+import math
+import types
+import typing
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
@@ -20,9 +24,9 @@ from pathlib import Path
 from .balancer import BalanceResult
 from .errors import DomainError, ParseError
 from .metrics import Comparison, ProductivityReport
-from .model import Allocation, ProcessPlan, Task, as_fraction, throughput
-from .robust import CtInterval, RobustReport
-from .simulator import SimConfig, SimResult, WipSample
+from .model import Allocation, Task, as_fraction, throughput
+from .robust import RobustReport
+from .simulator import SimResult
 
 _TASK_COLUMNS = ("task_id", "description", "cycle_time_sec", "dev_plus_sec", "dev_minus_sec")
 _TASK_REQUIRED = ("task_id", "description", "cycle_time_sec")
@@ -31,12 +35,14 @@ _DEV_COLUMNS = ("task_id", "dev_plus_sec", "dev_minus_sec")
 
 # ---------------------------------------------------------------- formatting
 
-def _to_decimal(x, places: int, rounding: str) -> Decimal:
-    x = as_fraction(x)
+def _decimal(x: Fraction) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 50
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-    return d.quantize(Decimal(1).scaleb(-places), rounding=rounding)
+        return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def _to_decimal(x, places: int, rounding: str) -> Decimal:
+    return _decimal(as_fraction(x)).quantize(Decimal(1).scaleb(-places), rounding=rounding)
 
 
 def format_seconds(x) -> str:
@@ -66,26 +72,20 @@ def format_number(x) -> str:
     while d % 5 == 0:
         d //= 5
     if d == 1:
-        with localcontext() as ctx:
-            ctx.prec = 50
-            out = Decimal(x.numerator) / Decimal(x.denominator)
-        return str(out)
+        return str(_decimal(x))
     return str(_to_decimal(x, 4, ROUND_HALF_UP))
 
 
 # ------------------------------------------------------------------- parsing
 
-def _parse_cell_fraction(raw: str, column: str, row: int) -> Fraction:
-    try:
-        return as_fraction(raw)
-    except DomainError:
-        raise ParseError(f"column {column!r}: not a decimal number: {raw!r}", row=row) from None
-
-
-def _check_header(fieldnames, required, allowed, what: str):
-    if fieldnames is None:
-        raise ParseError(f"empty file: expected a {what} header row", row=1)
-    names = [n.strip() for n in fieldnames]
+def _read_rows(text: str, required, allowed, what: str) -> list[tuple[int, int, dict]]:
+    """Check the header of CSV text, then return (row number, task id, cells)
+    for each data row. Cells are stripped, ids checked to be unique, and the
+    seconds columns (*_sec) parsed to Fractions; an empty optional one is 0."""
+    reader = csv.DictReader(_stringio.StringIO(text))
+    if reader.fieldnames is None:
+        raise ParseError(f"empty file: expected a {what} table header row", row=1)
+    names = [n.strip() for n in reader.fieldnames]
     missing = [c for c in required if c not in names]
     if missing:
         raise ParseError(f"header is missing columns {missing}", row=1)
@@ -94,15 +94,8 @@ def _check_header(fieldnames, required, allowed, what: str):
         raise ParseError(f"header has unknown columns {unknown}", row=1)
     if len(set(names)) != len(names):
         raise ParseError("header repeats a column", row=1)
-    return names
 
-
-def parse_tasks(text: str) -> tuple[Task, ...]:
-    """Parse task-table CSV text into Task values, in file order."""
-    reader = csv.DictReader(_stringio.StringIO(text))
-    _check_header(reader.fieldnames, _TASK_REQUIRED, _TASK_COLUMNS, "task table")
-
-    tasks: list[Task] = []
+    rows = []
     seen: set[int] = set()
     row = 1
     for record in reader:
@@ -114,107 +107,95 @@ def parse_tasks(text: str) -> tuple[Task, ...]:
         if None in cells or any(v is None for v in cells.values()):
             raise ParseError("row has a different number of cells than the header", row=row)
         raw_id = cells["task_id"]
-        if not raw_id.isdigit():
+        # isdigit alone also accepts digits such as "²" that int() rejects
+        if not (raw_id.isascii() and raw_id.isdigit()):
             raise ParseError(f"task_id must be a positive integer, got {raw_id!r}", row=row)
         task_id = int(raw_id)
         if task_id in seen:
             raise ParseError(f"duplicate task id {task_id}", row=row)
         seen.add(task_id)
-        cycle = _parse_cell_fraction(cells["cycle_time_sec"], "cycle_time_sec", row)
-        dev_plus = (
-            _parse_cell_fraction(cells["dev_plus_sec"], "dev_plus_sec", row)
-            if cells.get("dev_plus_sec")
-            else Fraction(0)
-        )
-        dev_minus = (
-            _parse_cell_fraction(cells["dev_minus_sec"], "dev_minus_sec", row)
-            if cells.get("dev_minus_sec")
-            else Fraction(0)
-        )
+        for column, raw in cells.items():
+            if not column.endswith("_sec"):
+                continue
+            try:
+                cells[column] = as_fraction(raw if raw or column in required else 0)
+            except DomainError:
+                raise ParseError(
+                    f"column {column!r}: not a decimal number: {raw!r}", row=row
+                ) from None
+        rows.append((row, task_id, cells))
+
+    if not rows:
+        raise ParseError(f"file contains a header but no {what} rows", row=1)
+    return rows
+
+
+def _read_file(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def parse_tasks(text: str) -> tuple[Task, ...]:
+    """Parse task-table CSV text into Task values, in file order."""
+    tasks: list[Task] = []
+    for row, task_id, cells in _read_rows(text, _TASK_REQUIRED, _TASK_COLUMNS, "task"):
         try:
             tasks.append(
                 Task(
                     id=task_id,
                     description=cells["description"],
-                    cycle_time=cycle,
-                    dev_plus=dev_plus,
-                    dev_minus=dev_minus,
+                    cycle_time=cells["cycle_time_sec"],
+                    dev_plus=cells.get("dev_plus_sec", 0),
+                    dev_minus=cells.get("dev_minus_sec", 0),
                 )
             )
         except DomainError as exc:
             raise ParseError(str(exc), row=row) from None
-
-    if not tasks:
-        raise ParseError("file contains a header but no task rows", row=1)
     return tuple(tasks)
 
 
 def load_tasks(path) -> tuple[Task, ...]:
     """Read a task-table CSV file. Errors cite the offending row."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_tasks(text)
+    return parse_tasks(_read_file(path))
+
+
+def _csv_text(header, rows) -> str:
+    out = _stringio.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def emit_tasks(tasks) -> str:
     """Render tasks back to task-table CSV (all five columns, exact values)."""
-    out = _stringio.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_TASK_COLUMNS)
-    for t in tasks:
-        writer.writerow(
-            [
-                t.id,
-                t.description,
-                format_number(t.cycle_time),
-                format_number(t.dev_plus),
-                format_number(t.dev_minus),
-            ]
-        )
-    return out.getvalue()
+    return _csv_text(
+        _TASK_COLUMNS,
+        (
+            (t.id, t.description, *map(format_number, (t.cycle_time, t.dev_plus, t.dev_minus)))
+            for t in tasks
+        ),
+    )
 
 
 def parse_deviations(text: str) -> dict[int, tuple[Fraction, Fraction]]:
     """Parse deviation CSV text into {task id: (d_plus, d_minus)}."""
-    reader = csv.DictReader(_stringio.StringIO(text))
-    _check_header(reader.fieldnames, _DEV_COLUMNS, _DEV_COLUMNS, "deviation table")
-
     out: dict[int, tuple[Fraction, Fraction]] = {}
-    row = 1
-    for record in reader:
-        row += 1
-        cells = {
-            (k.strip() if k else k): (v.strip() if isinstance(v, str) else v)
-            for k, v in record.items()
-        }
-        if None in cells or any(v is None for v in cells.values()):
-            raise ParseError("row has a different number of cells than the header", row=row)
-        raw_id = cells["task_id"]
-        if not raw_id.isdigit():
-            raise ParseError(f"task_id must be a positive integer, got {raw_id!r}", row=row)
-        task_id = int(raw_id)
-        if task_id in out:
-            raise ParseError(f"duplicate task id {task_id}", row=row)
-        d_plus = _parse_cell_fraction(cells["dev_plus_sec"], "dev_plus_sec", row)
-        d_minus = _parse_cell_fraction(cells["dev_minus_sec"], "dev_minus_sec", row)
+    for row, task_id, cells in _read_rows(text, _DEV_COLUMNS, _DEV_COLUMNS, "deviation"):
+        d_plus, d_minus = cells["dev_plus_sec"], cells["dev_minus_sec"]
         if d_plus < 0 or d_minus < 0:
             raise ParseError("deviations must be >= 0", row=row)
         out[task_id] = (d_plus, d_minus)
-
-    if not out:
-        raise ParseError("file contains a header but no deviation rows", row=1)
     return out
 
 
 def load_deviations(path) -> dict[int, tuple[Fraction, Fraction]]:
     """Read a deviation CSV file. Errors cite the offending row."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_deviations(text)
+    return parse_deviations(_read_file(path))
 
 
 def fixture_path(name: str) -> Path:
@@ -226,213 +207,109 @@ def fixture_path(name: str) -> Path:
 
 
 # ------------------------------------------------------- JSON serialization
+#
+# One codec serves every report: each dataclass is written as an object with
+# one key per field, in field order, following the field's type hint. Fractions
+# become "num/den" strings; floats (uniform-mode utilizations) stay numbers.
+# Dicts keyed by task id get string keys. An Allocation is written as its
+# station map alone.
 
-def _frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
+_KINDS = {
+    BalanceResult: "balance",
+    ProductivityReport: "productivity",
+    Comparison: "comparison",
+    RobustReport: "robust",
+    SimResult: "simulation",
+}
+_KIND_TYPES = {kind: cls for cls, kind in _KINDS.items()}
+# field name -> JSON key, where the two differ
+_KEYS = {"line_ct_regular": "regular", "line_ct_best": "best", "line_ct_worst": "worst"}
 
 
-def _num_out(x):
-    """Fractions become exact strings; floats and ints pass through."""
-    if isinstance(x, Fraction):
-        return _frac_str(x)
-    return x
+def _frac_out(x):
+    return x if isinstance(x, float) else str(x)
 
 
-def _num_in(raw):
+def _frac_in(raw):
     if isinstance(raw, str):
         return Fraction(raw)
-    return raw
+    if type(raw) is int or (type(raw) is float and math.isfinite(raw)):
+        return raw
+    raise TypeError(f"expected a finite number or a 'num/den' string, got {raw!r}")
 
 
-def _task_out(t: Task) -> dict:
-    return {
-        "id": t.id,
-        "description": t.description,
-        "cycle_time": _frac_str(t.cycle_time),
-        "dev_plus": _frac_str(t.dev_plus),
-        "dev_minus": _frac_str(t.dev_minus),
-    }
+def _dataclass_codec(cls):
+    kind = _KINDS.get(cls)
+    hints = typing.get_type_hints(cls)
+    fields = [
+        (f.name, _KEYS.get(f.name, f.name), *_codec(hints[f.name]))
+        for f in dataclasses.fields(cls)
+    ]
+
+    def encode(obj):
+        out = {} if kind is None else {"kind": kind}
+        for name, key, enc, _ in fields:
+            out[key] = enc(getattr(obj, name))
+        return out
+
+    def decode(raw):
+        return cls(**{name: dec(raw[key]) for name, key, _, dec in fields})
+
+    return encode, decode
 
 
-def _task_in(d: dict) -> Task:
-    return Task(
-        id=int(d["id"]),
-        description=d["description"],
-        cycle_time=Fraction(d["cycle_time"]),
-        dev_plus=Fraction(d["dev_plus"]),
-        dev_minus=Fraction(d["dev_minus"]),
-    )
+@functools.cache
+def _codec(hint):
+    """(encode, decode) for values of type `hint`. decode raises KeyError,
+    TypeError, ValueError, AttributeError or ZeroDivisionError on bad data."""
+    if hint is Fraction:
+        return _frac_out, _frac_in
+    if hint is Allocation:
+        enc, dec = _codec(dict[int, int])
+        return (lambda a: enc(a.stations)), (lambda raw: Allocation(dec(raw)))
+    if dataclasses.is_dataclass(hint):
+        return _dataclass_codec(hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = (a for a in args if a is not type(None))
+        enc, dec = _codec(inner)
+        return (
+            lambda x: None if x is None else enc(x),
+            lambda raw: None if raw is None else dec(raw),
+        )
+    if origin is dict:
+        enc, dec = _codec(args[1])
+        return (
+            lambda d: {str(k): enc(v) for k, v in d.items()},
+            lambda raw: {int(k): dec(v) for k, v in raw.items()},
+        )
+    if origin is tuple and args[-1] is Ellipsis:
+        enc, dec = _codec(args[0])
+        return (lambda xs: [enc(x) for x in xs]), (lambda raw: tuple(dec(x) for x in raw))
+    if origin is tuple:
+        codecs = [_codec(a) for a in args]
+        return (
+            lambda xs: [enc(x) for (enc, _), x in zip(codecs, xs)],
+            lambda raw: tuple(dec(x) for (_, dec), x in zip(codecs, raw, strict=True)),
+        )
 
+    def check(raw):
+        if hint in (int, str) and type(raw) is not hint:
+            raise TypeError(f"expected {hint.__name__}, got {raw!r}")
+        return raw
 
-def _plan_out(plan: ProcessPlan) -> dict:
-    return {
-        "tasks": [_task_out(t) for t in plan.tasks],
-        "seat_budget": plan.seat_budget,
-        "period": _frac_str(plan.period),
-    }
-
-
-def _plan_in(d: dict) -> ProcessPlan:
-    return ProcessPlan(
-        tasks=tuple(_task_in(x) for x in d["tasks"]),
-        seat_budget=int(d["seat_budget"]),
-        period=Fraction(d["period"]),
-    )
-
-
-def _alloc_out(a: Allocation) -> dict:
-    return {str(k): v for k, v in a.stations.items()}
-
-
-def _alloc_in(d: dict) -> Allocation:
-    return Allocation({int(k): int(v) for k, v in d.items()})
-
-
-def _int_map_out(m: dict) -> dict:
-    return {str(k): _num_out(v) for k, v in m.items()}
-
-
-def _int_map_in(d: dict) -> dict:
-    return {int(k): _num_in(v) for k, v in d.items()}
-
-
-def _interval_out(iv: CtInterval) -> dict:
-    return {
-        "nominal": _frac_str(iv.nominal),
-        "lo": _frac_str(iv.lo),
-        "hi": _frac_str(iv.hi),
-        "alpha": _frac_str(iv.alpha),
-        "d_plus": _frac_str(iv.d_plus),
-        "d_minus": _frac_str(iv.d_minus),
-    }
-
-
-def _interval_in(d: dict) -> CtInterval:
-    return CtInterval(**{k: Fraction(v) for k, v in d.items()})
-
-
-def _productivity_out(r: ProductivityReport) -> dict:
-    return {
-        "kind": "productivity",
-        "line_cycle_time": _frac_str(r.line_cycle_time),
-        "output_per_hour": _frac_str(r.output_per_hour),
-        "workers": r.workers,
-        "upph": _frac_str(r.upph),
-        "utilization": _int_map_out(r.utilization),
-        "idle_fraction": _int_map_out(r.idle_fraction),
-    }
-
-
-def _productivity_in(d: dict) -> ProductivityReport:
-    return ProductivityReport(
-        line_cycle_time=Fraction(d["line_cycle_time"]),
-        output_per_hour=Fraction(d["output_per_hour"]),
-        workers=int(d["workers"]),
-        upph=Fraction(d["upph"]),
-        utilization=_int_map_in(d["utilization"]),
-        idle_fraction=_int_map_in(d["idle_fraction"]),
-    )
-
-
-def _config_out(c: SimConfig) -> dict:
-    return {
-        "horizon_s": _frac_str(c.horizon_s),
-        "warmup_s": _frac_str(c.warmup_s),
-        "service_model": c.service_model,
-        "seed": c.seed,
-        "queue_capacity": c.queue_capacity,
-        "release": c.release,
-        "alpha": _frac_str(c.alpha),
-        "transfer_delay_s": _frac_str(c.transfer_delay_s),
-        "sample_interval_s": _frac_str(c.sample_interval_s),
-    }
-
-
-def _config_in(d: dict) -> SimConfig:
-    return SimConfig(
-        horizon_s=Fraction(d["horizon_s"]),
-        warmup_s=Fraction(d["warmup_s"]),
-        service_model=d["service_model"],
-        seed=int(d["seed"]),
-        queue_capacity=None if d["queue_capacity"] is None else int(d["queue_capacity"]),
-        release=d["release"],
-        alpha=Fraction(d["alpha"]),
-        transfer_delay_s=Fraction(d["transfer_delay_s"]),
-        sample_interval_s=Fraction(d["sample_interval_s"]),
-    )
+    return (lambda x: x), check
 
 
 def report_to_dict(result) -> dict:
     """Plain-data form of any report object, tagged with its kind."""
-    if isinstance(result, BalanceResult):
-        return {
-            "kind": "balance",
-            "method": result.method,
-            "plan": _plan_out(result.plan),
-            "allocation": _alloc_out(result.allocation),
-            "line_cycle_time": _frac_str(result.line_cycle_time),
-            "iterations": [[tid, _frac_str(ct)] for tid, ct in result.iterations],
-            "total_stations": result.total_stations,
-            "throughput_per_period": _frac_str(
-                throughput(result.line_cycle_time, result.plan.period)
-            ),
-        }
-    if isinstance(result, ProductivityReport):
-        return _productivity_out(result)
-    if isinstance(result, Comparison):
-        return {
-            "kind": "comparison",
-            "before": _productivity_out(result.before),
-            "after": _productivity_out(result.after),
-            "improvement": _frac_str(result.improvement),
-            "improvement_displayed": _frac_str(result.improvement_displayed),
-            "output_ratio": _frac_str(result.output_ratio),
-        }
-    if isinstance(result, RobustReport):
-        return {
-            "kind": "robust",
-            "plan": _plan_out(result.plan),
-            "allocation": _alloc_out(result.allocation),
-            "intervals": {str(k): _interval_out(v) for k, v in result.intervals.items()},
-            "alpha": None if result.alpha is None else _frac_str(result.alpha),
-            "regular": _frac_str(result.line_ct_regular),
-            "best": _frac_str(result.line_ct_best),
-            "worst": _frac_str(result.line_ct_worst),
-            "throughput_regular": _frac_str(result.throughput_regular),
-            "throughput_best": result.throughput_best,
-            "throughput_worst": result.throughput_worst,
-            "upph_regular": _frac_str(result.upph_regular),
-            "upph_max": _frac_str(result.upph_max),
-            "upph_min": _frac_str(result.upph_min),
-            "eff_max": _frac_str(result.eff_max),
-            "eff_min": _frac_str(result.eff_min),
-            "eff_max_displayed": _frac_str(result.eff_max_displayed),
-            "eff_min_displayed": _frac_str(result.eff_min_displayed),
-        }
-    if isinstance(result, SimResult):
-        return {
-            "kind": "simulation",
-            "plan": _plan_out(result.plan),
-            "allocation": _alloc_out(result.allocation),
-            "config": _config_out(result.config),
-            "completed": result.completed,
-            "completed_total": result.completed_total,
-            "released": result.released,
-            "throughput": _frac_str(result.throughput),
-            "utilization": _int_map_out(result.utilization),
-            "conservation": list(result.conservation),
-            "wip_timeseries": [
-                {
-                    "time": _frac_str(s.time),
-                    "queue_lengths": {str(k): v for k, v in s.queue_lengths.items()},
-                    "released": s.released,
-                    "completed": s.completed,
-                    "in_flight": s.in_flight,
-                }
-                for s in result.wip_timeseries
-            ],
-        }
-    raise DomainError(f"cannot serialize {type(result).__name__}")
+    if type(result) not in _KINDS:
+        raise DomainError(f"cannot serialize {type(result).__name__}")
+    out = _codec(type(result))[0](result)
+    if isinstance(result, BalanceResult):  # derived keys, ignored when read back
+        out["total_stations"] = result.total_stations
+        out["throughput_per_period"] = str(throughput(result.line_cycle_time, result.plan.period))
+    return out
 
 
 def report_from_dict(data: dict):
@@ -441,71 +318,13 @@ def report_from_dict(data: dict):
         kind = data["kind"]
     except (KeyError, TypeError):
         raise ParseError("report document has no 'kind' tag") from None
+    cls = _KIND_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(f"unknown report kind {kind!r}")
     try:
-        if kind == "balance":
-            plan = _plan_in(data["plan"])
-            return BalanceResult(
-                plan=plan,
-                allocation=_alloc_in(data["allocation"]),
-                line_cycle_time=Fraction(data["line_cycle_time"]),
-                method=data["method"],
-                iterations=tuple((int(tid), Fraction(ct)) for tid, ct in data["iterations"]),
-            )
-        if kind == "productivity":
-            return _productivity_in(data)
-        if kind == "comparison":
-            return Comparison(
-                before=_productivity_in(data["before"]),
-                after=_productivity_in(data["after"]),
-                improvement=Fraction(data["improvement"]),
-                improvement_displayed=Fraction(data["improvement_displayed"]),
-                output_ratio=Fraction(data["output_ratio"]),
-            )
-        if kind == "robust":
-            return RobustReport(
-                plan=_plan_in(data["plan"]),
-                allocation=_alloc_in(data["allocation"]),
-                intervals={int(k): _interval_in(v) for k, v in data["intervals"].items()},
-                alpha=None if data["alpha"] is None else Fraction(data["alpha"]),
-                line_ct_regular=Fraction(data["regular"]),
-                line_ct_best=Fraction(data["best"]),
-                line_ct_worst=Fraction(data["worst"]),
-                throughput_regular=Fraction(data["throughput_regular"]),
-                throughput_best=int(data["throughput_best"]),
-                throughput_worst=int(data["throughput_worst"]),
-                upph_regular=Fraction(data["upph_regular"]),
-                upph_max=Fraction(data["upph_max"]),
-                upph_min=Fraction(data["upph_min"]),
-                eff_max=Fraction(data["eff_max"]),
-                eff_min=Fraction(data["eff_min"]),
-                eff_max_displayed=Fraction(data["eff_max_displayed"]),
-                eff_min_displayed=Fraction(data["eff_min_displayed"]),
-            )
-        if kind == "simulation":
-            return SimResult(
-                plan=_plan_in(data["plan"]),
-                allocation=_alloc_in(data["allocation"]),
-                config=_config_in(data["config"]),
-                completed=int(data["completed"]),
-                completed_total=int(data["completed_total"]),
-                released=int(data["released"]),
-                throughput=Fraction(data["throughput"]),
-                utilization=_int_map_in(data["utilization"]),
-                wip_timeseries=tuple(
-                    WipSample(
-                        time=Fraction(s["time"]),
-                        queue_lengths={int(k): int(v) for k, v in s["queue_lengths"].items()},
-                        released=int(s["released"]),
-                        completed=int(s["completed"]),
-                        in_flight=int(s["in_flight"]),
-                    )
-                    for s in data["wip_timeseries"]
-                ),
-                conservation=tuple(int(x) for x in data["conservation"]),
-            )
-    except (KeyError, ValueError, TypeError) as exc:
+        return _codec(cls)[1](data)
+    except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed {kind} report: {exc}") from None
-    raise ParseError(f"unknown report kind {kind!r}")
 
 
 def parse_report(text: str):
@@ -558,23 +377,23 @@ def _balance_table(result: BalanceResult) -> str:
     return f"{table}\n{totals}\n"
 
 
-def _productivity_lines(label: str, r: ProductivityReport) -> list[str]:
-    return [
+def _productivity_line(label: str, r: ProductivityReport) -> str:
+    return (
         f"{label}: {format_number(r.output_per_hour)} pc/hr with {r.workers} workers; "
         f"line CT {format_seconds(r.line_cycle_time)} sec/pc; "
-        f"UPPH {format_upph(r.upph)} ({format_number(r.upph)} exact)"
-    ]
+        f"UPPH {format_upph(r.upph)} ({format_number(r.upph)} exact)\n"
+    )
 
 
 def _comparison_table(c: Comparison) -> str:
-    lines = _productivity_lines("before", c.before) + _productivity_lines("after", c.after)
-    lines.append(
-        f"UPPH improvement: {format_percent(c.improvement)} at full precision; "
+    return (
+        _productivity_line("before", c.before)
+        + _productivity_line("after", c.after)
+        + f"UPPH improvement: {format_percent(c.improvement)} at full precision; "
         f"{format_percent(c.improvement_displayed)} from the two-decimal printed figures "
-        f"({format_upph(c.before.upph)} -> {format_upph(c.after.upph)})"
+        f"({format_upph(c.before.upph)} -> {format_upph(c.after.upph)})\n"
+        f"output ratio: {format_number(c.output_ratio)}x\n"
     )
-    lines.append(f"output ratio: {format_number(c.output_ratio)}x")
-    return "\n".join(lines) + "\n"
 
 
 def _robust_table(r: RobustReport) -> str:
@@ -639,23 +458,25 @@ def _sim_table(r: SimResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+_TABLES = {
+    BalanceResult: _balance_table,
+    ProductivityReport: lambda r: _productivity_line("line", r),
+    Comparison: _comparison_table,
+    RobustReport: _robust_table,
+    SimResult: _sim_table,
+}
+
+
 def emit_report(result, format: str = "table") -> str:
     """Render a result for humans (table) or machines (json, round-trippable)."""
     if format == "json":
         return json.dumps(report_to_dict(result), indent=2) + "\n"
     if format != "table":
         raise DomainError(f"format must be 'table' or 'json', got {format!r}")
-    if isinstance(result, BalanceResult):
-        return _balance_table(result)
-    if isinstance(result, ProductivityReport):
-        return "\n".join(_productivity_lines("line", result)) + "\n"
-    if isinstance(result, Comparison):
-        return _comparison_table(result)
-    if isinstance(result, RobustReport):
-        return _robust_table(result)
-    if isinstance(result, SimResult):
-        return _sim_table(result)
-    raise DomainError(f"cannot render {type(result).__name__}")
+    render = _TABLES.get(type(result))
+    if render is None:
+        raise DomainError(f"cannot render {type(result).__name__}")
+    return render(result)
 
 
 def emit_plot_data(sweep) -> str:
@@ -668,108 +489,10 @@ def emit_plot_data(sweep) -> str:
     sweep = tuple(sweep)
     if not sweep:
         raise DomainError("sweep is empty")
-    out = _stringio.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("task_id", "alpha", "regular_ct", "best_ct", "worst_ct"))
+    rows = []
     for alpha, report in sweep:
-        for t in report.plan.tasks:
-            iv = report.intervals[t.id]
-            writer.writerow(
-                (
-                    t.id,
-                    format_number(alpha),
-                    format_number(iv.nominal),
-                    format_number(iv.lo),
-                    format_number(iv.hi),
-                )
-            )
-        writer.writerow(
-            (
-                "LINE",
-                format_number(alpha),
-                format_number(report.line_ct_regular),
-                format_number(report.line_ct_best),
-                format_number(report.line_ct_worst),
-            )
-        )
-    return out.getvalue()
-
-
-# --------------------------------------------------------------- run config
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A full scenario in one JSON document (library surface; the CLI takes
-    the same knobs as flags)."""
-
-    seats: int
-    period_sec: Fraction = Fraction(3600)
-    alpha: Fraction = Fraction(1)
-    method: str = "greedy"
-    sim: SimConfig | None = None
-
-
-_RUN_KEYS = ("seats", "period_sec", "alpha", "method", "sim")
-_SIM_KEYS = ("horizon_s", "warmup_s", "seed", "service_model", "queue_capacity")
-
-
-def parse_run_config(text: str) -> RunConfig:
-    """Parse and validate a run-config JSON document. Unknown keys are errors."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ParseError("run config must be a JSON object")
-    unknown = [k for k in data if k not in _RUN_KEYS]
-    if unknown:
-        raise ParseError(f"unknown keys {unknown}; allowed: {list(_RUN_KEYS)}")
-    if "seats" not in data:
-        raise ParseError("run config needs 'seats'")
-    if not isinstance(data["seats"], int) or isinstance(data["seats"], bool):
-        raise ParseError("'seats' must be an integer")
-    method = data.get("method", "greedy")
-    if method not in ("greedy", "optimal"):
-        raise ParseError(f"'method' must be 'greedy' or 'optimal', got {method!r}")
-
-    sim = None
-    if data.get("sim") is not None:
-        raw = data["sim"]
-        if not isinstance(raw, dict):
-            raise ParseError("'sim' must be a JSON object")
-        unknown = [k for k in raw if k not in _SIM_KEYS]
-        if unknown:
-            raise ParseError(f"unknown sim keys {unknown}; allowed: {list(_SIM_KEYS)}")
-        if "horizon_s" not in raw:
-            raise ParseError("sim config needs 'horizon_s'")
-        try:
-            sim = SimConfig(
-                horizon_s=as_fraction(raw["horizon_s"]),
-                warmup_s=as_fraction(raw.get("warmup_s", 0)),
-                seed=raw.get("seed", 0),
-                service_model=raw.get("service_model", "deterministic"),
-                queue_capacity=raw.get("queue_capacity"),
-            )
-        except DomainError as exc:
-            raise ParseError(f"sim config: {exc}") from None
-
-    try:
-        period = as_fraction(data.get("period_sec", 3600))
-        alpha = as_fraction(data.get("alpha", 1))
-    except DomainError as exc:
-        raise ParseError(str(exc)) from None
-    if period <= 0:
-        raise ParseError("'period_sec' must be > 0")
-    if not 0 < alpha <= 1:
-        raise ParseError("'alpha' must lie in (0, 1]")
-    if data["seats"] < 1:
-        raise ParseError("'seats' must be >= 1")
-    return RunConfig(seats=data["seats"], period_sec=period, alpha=alpha, method=method, sim=sim)
-
-
-def load_run_config(path) -> RunConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_run_config(text)
+        ivs = report.intervals
+        series = [(t.id, ivs[t.id].nominal, ivs[t.id].lo, ivs[t.id].hi) for t in report.plan.tasks]
+        series.append(("LINE", report.line_ct_regular, report.line_ct_best, report.line_ct_worst))
+        rows += [(label, *map(format_number, (alpha, *cts))) for label, *cts in series]
+    return _csv_text(("task_id", "alpha", "regular_ct", "best_ct", "worst_ct"), rows)

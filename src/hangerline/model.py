@@ -26,15 +26,17 @@ def as_fraction(value) -> Fraction:
         raise DomainError(f"expected a number, got {value!r}")
     if isinstance(value, Rational):
         return Fraction(value)
-    if isinstance(value, Decimal):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(Decimal(repr(value)))
-    if isinstance(value, str):
-        try:
+    try:
+        if isinstance(value, Decimal):
+            return Fraction(value)
+        if isinstance(value, float):
+            return Fraction(Decimal(repr(value)))
+        if isinstance(value, str):
             return Fraction(Decimal(value.strip()))
-        except InvalidOperation:
-            raise DomainError(f"not a decimal number: {value!r}") from None
+    except InvalidOperation:
+        raise DomainError(f"not a decimal number: {value!r}") from None
+    except (ValueError, OverflowError):  # NaN and the infinities
+        raise DomainError(f"not a finite number: {value!r}") from None
     raise DomainError(f"cannot interpret {value!r} as a number")
 
 
@@ -83,7 +85,7 @@ class ProcessPlan:
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
         object.__setattr__(self, "period", as_fraction(self.period))
-        if not isinstance(self.seat_budget, int) or self.seat_budget <= 0:
+        if type(self.seat_budget) is not int or self.seat_budget <= 0:
             raise DomainError(f"seat_budget must be a positive integer, got {self.seat_budget!r}")
         if self.period <= 0:
             raise DomainError("period must be > 0")
@@ -171,8 +173,6 @@ def _require_coverage(plan: ProcessPlan, allocation: Allocation) -> None:
 
 def line_cycle_time(plan: ProcessPlan, allocation: Allocation) -> Fraction:
     """The line's pace: the maximum effective cycle time over all tasks."""
-    if not plan.tasks:
-        raise DomainError("plan has no tasks")
     _require_coverage(plan, allocation)
     return max(effective_cycle_time(t.cycle_time, allocation.count(t.id)) for t in plan.tasks)
 
@@ -200,8 +200,6 @@ def throughput(ct, period=SECONDS_PER_HOUR) -> Fraction:
 
 def work_content(plan: ProcessPlan) -> Fraction:
     """Total seconds of work in one piece: the sum of all task times."""
-    if not plan.tasks:
-        raise DomainError("plan has no tasks")
     return sum((t.cycle_time for t in plan.tasks), Fraction(0))
 
 
@@ -213,8 +211,6 @@ def classic_lower_bound(plan: ProcessPlan, stations: int) -> Fraction:
     term, so a balanced line with duplication may legitimately run below
     this bound. Use parallel_lower_bound for the duplication model.
     """
-    if not plan.tasks:
-        raise DomainError("plan has no tasks")
     if not isinstance(stations, int) or stations < 1:
         raise DomainError(f"station count must be an integer >= 1, got {stations!r}")
     mean_load = work_content(plan) / stations
@@ -225,8 +221,6 @@ def classic_lower_bound(plan: ProcessPlan, stations: int) -> Fraction:
 def parallel_lower_bound(plan: ProcessPlan, stations: int) -> Fraction:
     """Cycle-time lower bound when tasks may be duplicated: total work content
     spread perfectly over all stations."""
-    if not plan.tasks:
-        raise DomainError("plan has no tasks")
     if not isinstance(stations, int) or stations < len(plan.tasks):
         raise DomainError(
             f"need at least one station per task ({len(plan.tasks)}), got {stations!r}"

@@ -19,12 +19,11 @@ so identical inputs replay to bit-identical results.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DomainError, InvariantError
 from .model import (
@@ -51,7 +50,6 @@ class SimConfig:
     service_model: str = "deterministic"
     seed: int = 0
     queue_capacity: int | None = None
-    release: str = "saturated"
     alpha: Fraction = Fraction(1)
     transfer_delay_s: Fraction = Fraction(0)
     sample_interval_s: Fraction = Fraction(60)
@@ -72,11 +70,9 @@ class SimConfig:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if self.queue_capacity is not None and (
-            not isinstance(self.queue_capacity, int) or self.queue_capacity < 1
+            type(self.queue_capacity) is not int or self.queue_capacity < 1
         ):
             raise DomainError(f"queue_capacity must be >= 1 or None, got {self.queue_capacity!r}")
-        if self.release != "saturated":
-            raise DomainError(f"only the saturated release discipline exists, got {self.release!r}")
         if not 0 < self.alpha <= 1:
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.transfer_delay_s < 0:
@@ -115,8 +111,8 @@ class SimResult:
     released: int
     throughput: Fraction
     utilization: dict[int, Fraction]
-    wip_timeseries: tuple[WipSample, ...]
     conservation: tuple[int, int, int]
+    wip_timeseries: tuple[WipSample, ...]
 
 
 def _raw_service_bounds(plan: ProcessPlan, allocation: Allocation, alpha: Fraction):
@@ -142,8 +138,6 @@ def _raw_service_bounds(plan: ProcessPlan, allocation: Allocation, alpha: Fracti
 
 def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> SimResult:
     """Run the line and collect throughput, WIP trajectories and utilization."""
-    if not plan.tasks:
-        raise DomainError("plan has no tasks")
     n = len(plan.tasks)
     s = [allocation.count(t.id) for t in plan.tasks]
     raw_time = [t.cycle_time for t in plan.tasks]
@@ -298,8 +292,8 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
         released=released,
         throughput=Fraction(completed) * SECONDS_PER_HOUR / window,
         utilization=utilization,
-        wip_timeseries=tuple(samples),
         conservation=(released, completed_total, in_flight),
+        wip_timeseries=tuple(samples),
     )
 
 
@@ -313,20 +307,24 @@ def queue_trend(result: SimResult, task_id: int, after=None) -> tuple[float, flo
     if not result.wip_timeseries or task_id not in result.wip_timeseries[0].queue_lengths:
         raise DomainError(f"no inter-stage queue feeds task {task_id}")
     points = [
-        (float(sample.time), float(sample.queue_lengths[task_id]))
+        (sample.time, sample.queue_lengths[task_id])
         for sample in result.wip_timeseries
         if sample.time >= cutoff
     ]
-    if len(points) < 2:
+    n = len(points)
+    if n < 2:
         raise DomainError("need at least two samples after the cutoff to fit a trend")
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residuals = ys - (slope * xs + intercept)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r_squared = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r_squared
+    # exact least squares over integer times (scaled by their common denominator,
+    # as int sums are far cheaper than Fraction sums); s_ab is n * centred sum
+    scale = math.lcm(*(x.denominator for x, _ in points))
+    points = [(x.numerator * (scale // x.denominator), y) for x, y in points]
+    sx = sum(x for x, _ in points)
+    sy = sum(y for _, y in points)
+    s_xx = n * sum(x * x for x, _ in points) - sx * sx
+    s_xy = n * sum(x * y for x, y in points) - sx * sy
+    s_yy = n * sum(y * y for _, y in points) - sy * sy
+    r_squared = 0.0 if s_yy == 0 else float(Fraction(s_xy * s_xy, s_xx * s_yy))
+    return float(Fraction(s_xy * scale, s_xx)), r_squared
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +203,21 @@ class TestExitCodes:
         assert code == 2
         assert "row 2" in err
 
+    def test_non_finite_cell_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("task_id,description,cycle_time_sec\n1,a,30\n2,b,nan\n")
+        code, _, err = run(capsys, "balance", "--tasks", str(bad), "--seats", "4")
+        assert code == 2
+        assert "row 3" in err
+
+    def test_non_finite_alpha_exits_2(self, capsys, tasks_csv_path, deviations_csv_path):
+        code, _, err = run(
+            capsys, "robust", "--tasks", tasks_csv_path, "--seats", "32",
+            "--deviations", deviations_csv_path, "--alpha", "nan",
+        )
+        assert code == 2
+        assert "error:" in err
+
     def test_infeasible_budget_exits_3(self, capsys, tasks_csv_path):
         code, _, err = run(
             capsys, "balance", "--tasks", tasks_csv_path, "--seats", "5"
@@ -233,3 +252,14 @@ class TestRoundTripThroughCli:
         restored = hl.parse_report(out)
         assert restored.line_ct_worst == Fraction(42)
         assert restored.eff_min_displayed == Fraction(108, 157)
+
+
+def test_cli_import_leaves_numpy_out():
+    # the package has no runtime dependency; its import cost is its own
+    src = str(Path(hl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, hangerline.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

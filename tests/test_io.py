@@ -1,4 +1,4 @@
-"""CSV and JSON interchange: task tables, reports, plot data, run configs."""
+"""CSV and JSON interchange: task tables, reports, plot data."""
 import json
 from fractions import Fraction
 
@@ -72,6 +72,26 @@ class TestParseTasks:
         with pytest.raises(ParseError) as exc:
             hl.parse_tasks("task_id,description,cycle_time_sec\n1.5,x,5\n")
         assert exc.value.row == 2
+
+    def test_non_ascii_digit_id_rejected(self):
+        # "²" passes str.isdigit but int() rejects it
+        with pytest.raises(ParseError) as exc:
+            hl.parse_tasks("task_id,description,cycle_time_sec\n²,x,5\n")
+        assert exc.value.row == 2
+
+    def test_non_finite_cycle_time_cites_its_row(self):
+        for cell in ("nan", "Infinity"):
+            with pytest.raises(ParseError) as exc:
+                hl.parse_tasks(f"task_id,description,cycle_time_sec\n1,x,5\n2,y,{cell}\n")
+            assert exc.value.row == 3
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("task_id,description,cycle_time_sec\n1,Ösen,5\n".encode("latin-1"))
+        with pytest.raises(ParseError):
+            hl.load_tasks(path)
+        with pytest.raises(ParseError):
+            hl.load_deviations(path)
 
     def test_duplicate_id_cites_second_row(self):
         text = (
@@ -189,6 +209,62 @@ class TestReportRoundTrips:
         assert data["kind"] == "simulation"
         assert hl.report_from_dict(data) == run
 
+    def test_uniform_simulation_keeps_float_utilization(self, devs_plan):
+        alloc = hl.greedy_balance(devs_plan).allocation
+        run = hl.simulate(
+            devs_plan, alloc,
+            SimConfig(horizon_s=1800, warmup_s=600, service_model="uniform", seed=3),
+        )
+        assert any(isinstance(u, float) for u in run.utilization.values())
+        assert hl.parse_report(hl.emit_report(run, "json")) == run
+
+    def test_simulation_document_with_release_key_parses(self, shirt_plan, balanced):
+        # documents written before SimConfig lost its single-valued release knob
+        run = hl.simulate(shirt_plan, balanced.allocation, SimConfig(horizon_s=600))
+        data = hl.report_to_dict(run)
+        data["config"]["release"] = "saturated"
+        assert hl.report_from_dict(data) == run
+
+    def test_top_level_key_order(self, shirt_plan, balanced, deviations):
+        ones = hl.Allocation.ones(shirt_plan)
+        intervals = hl.effective_intervals(shirt_plan, balanced.allocation, 1, deviations)
+        reports = {
+            "balance": balanced,
+            "productivity": hl.productivity_report(shirt_plan, balanced.allocation),
+            "comparison": hl.compare(shirt_plan, ones, balanced.allocation),
+            "robust": hl.robust_line_report(shirt_plan, balanced.allocation, intervals),
+            "simulation": hl.simulate(
+                shirt_plan, balanced.allocation, SimConfig(horizon_s=600)
+            ),
+        }
+        expected = {
+            "balance": [
+                "kind", "method", "plan", "allocation", "line_cycle_time", "iterations",
+                "total_stations", "throughput_per_period",
+            ],
+            "productivity": [
+                "kind", "line_cycle_time", "output_per_hour", "workers", "upph",
+                "utilization", "idle_fraction",
+            ],
+            "comparison": [
+                "kind", "before", "after", "improvement", "improvement_displayed",
+                "output_ratio",
+            ],
+            "robust": [
+                "kind", "plan", "allocation", "intervals", "alpha", "regular", "best",
+                "worst", "throughput_regular", "throughput_best", "throughput_worst",
+                "upph_regular", "upph_max", "upph_min", "eff_max", "eff_min",
+                "eff_max_displayed", "eff_min_displayed",
+            ],
+            "simulation": [
+                "kind", "plan", "allocation", "config", "completed", "completed_total",
+                "released", "throughput", "utilization", "conservation", "wip_timeseries",
+            ],
+        }
+        for kind, report in reports.items():
+            text = hl.emit_report(report, "json")
+            assert list(json.loads(text)) == expected[kind]
+
     def test_parse_report_from_text(self, balanced):
         text = json.dumps(hl.report_to_dict(balanced))
         assert hl.parse_report(text) == balanced
@@ -212,6 +288,12 @@ class TestReportRoundTrips:
         with pytest.raises(ParseError) as exc:
             hl.report_from_dict(data)
         assert "balance" in str(exc.value)
+
+    def test_zero_denominator_rejected(self, balanced):
+        data = hl.report_to_dict(balanced)
+        data["line_cycle_time"] = "1/0"
+        with pytest.raises(ParseError):
+            hl.report_from_dict(data)
 
     def test_non_json_text_rejected(self):
         with pytest.raises(ParseError):
@@ -253,51 +335,3 @@ class TestPlotData:
         assert len(lines) == 1 + 2 * (19 + 1)
         line_rows = [l for l in lines if l.startswith("LINE")]
         assert line_rows[-1] == "LINE,1,40,38,42"
-
-
-class TestRunConfig:
-    def test_full_document(self):
-        text = json.dumps({
-            "seats": 32,
-            "period_sec": 3600,
-            "alpha": "0.5",
-            "method": "optimal",
-            "sim": {
-                "horizon_s": 28800,
-                "warmup_s": 3600,
-                "seed": 7,
-                "service_model": "uniform",
-                "queue_capacity": 5,
-            },
-        })
-        cfg = hl.parse_run_config(text)
-        assert cfg.seats == 32
-        assert cfg.alpha == Fraction(1, 2)
-        assert cfg.method == "optimal"
-        assert cfg.sim.horizon_s == Fraction(28800)
-        assert cfg.sim.queue_capacity == 5
-
-    def test_defaults(self):
-        cfg = hl.parse_run_config('{"seats": 19}')
-        assert cfg.period_sec == Fraction(3600)
-        assert cfg.alpha == Fraction(1)
-        assert cfg.method == "greedy"
-        assert cfg.sim is None
-
-    def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(ParseError):
-            hl.parse_run_config('{"seats": 19, "chairs": 4}')
-
-    def test_unknown_sim_key_rejected(self):
-        with pytest.raises(ParseError):
-            hl.parse_run_config(
-                '{"seats": 19, "sim": {"horizon_s": 100, "speed": 2}}'
-            )
-
-    def test_bad_method_rejected(self):
-        with pytest.raises(ParseError):
-            hl.parse_run_config('{"seats": 19, "method": "simplex"}')
-
-    def test_invalid_sim_values_surface_as_parse_errors(self):
-        with pytest.raises((ParseError, DomainError)):
-            hl.parse_run_config('{"seats": 19, "sim": {"horizon_s": -5}}')

@@ -1,4 +1,5 @@
 """Core model types: tasks, plans, allocations, and the cycle-time algebra."""
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,15 @@ class TestAsFraction:
             hl.as_fraction("not a number")
         with pytest.raises(DomainError):
             hl.as_fraction(None)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["nan", "NaN", "sNaN", "Infinity", "-inf", Decimal("NaN"), Decimal("-Infinity"),
+         float("nan"), float("inf")],
+    )
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(DomainError):
+            hl.as_fraction(value)
 
 
 class TestTask:
@@ -77,6 +87,11 @@ class TestProcessPlan:
     def test_budget_below_task_count_is_infeasible(self):
         with pytest.raises(InfeasibleError):
             make_plan([5, 6, 7], 2)
+
+    def test_bool_seat_budget_rejected(self):
+        task = hl.Task(id=1, description="a", cycle_time=5)
+        with pytest.raises(DomainError):
+            hl.ProcessPlan(tasks=(task,), seat_budget=True)
 
     def test_empty_plan_rejected(self):
         with pytest.raises(DomainError):

@@ -252,7 +252,7 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             SimConfig(horizon_s=100, queue_capacity=0)
         with pytest.raises(DomainError):
-            SimConfig(horizon_s=100, release="batch")
+            SimConfig(horizon_s=100, queue_capacity=True)
         with pytest.raises(DomainError):
             SimConfig(horizon_s=100, alpha=Fraction(3, 2))
         with pytest.raises(DomainError):
