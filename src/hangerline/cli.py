@@ -23,6 +23,9 @@ from .model import SECONDS_PER_HOUR, Allocation, ProcessPlan, as_fraction
 from .robust import alpha_sweep, effective_intervals, robust_line_report
 from .simulator import SimConfig, simulate, verify_against_static
 
+# the largest --alphas grid sweep accepts; each point is a full robust report
+MAX_ALPHA_POINTS = 10_000
+
 
 def _plan_from_args(args) -> ProcessPlan:
     tasks = load_tasks(args.tasks)
@@ -33,21 +36,26 @@ def _balanced_allocation(plan: ProcessPlan) -> Allocation:
     return greedy_balance(plan).allocation
 
 
+def _number(flag: str, raw: str) -> Fraction:
+    try:
+        return as_fraction(raw)
+    except DomainError as exc:
+        raise DomainError(f"{flag}: {exc}") from None
+
+
 def _parse_alpha_grid(spec: str) -> list[Fraction]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"--alphas expects start:stop:step, got {spec!r}")
-    start, stop, step = (as_fraction(p) for p in parts)
+    start, stop, step = (_number("--alphas", p) for p in parts)
     if step <= 0:
         raise DomainError("--alphas step must be > 0")
     if start > stop:
         raise DomainError("--alphas start must not exceed stop")
-    grid = []
-    a = start
-    while a <= stop:
-        grid.append(a)
-        a += step
-    return grid
+    points = (stop - start) // step + 1
+    if points > MAX_ALPHA_POINTS:
+        raise DomainError(f"--alphas grid has {points} points, above the limit of {MAX_ALPHA_POINTS}")
+    return [start + k * step for k in range(points)]
 
 
 def cmd_balance(args) -> int:
@@ -57,7 +65,7 @@ def cmd_balance(args) -> int:
             raise DomainError("--target-ct applies to the greedy method only")
         result = optimal_balance(plan)
     else:
-        target = None if args.target_ct is None else as_fraction(args.target_ct)
+        target = None if args.target_ct is None else _number("--target-ct", args.target_ct)
         result = greedy_balance(plan, target_ct=target)
     sys.stdout.write(emit_report(result, args.format))
     return 0
@@ -74,7 +82,7 @@ def cmd_robust(args) -> int:
     plan = _plan_from_args(args)
     deviations = load_deviations(args.deviations)
     allocation = _balanced_allocation(plan)
-    alpha = as_fraction(args.alpha)
+    alpha = _number("--alpha", args.alpha)
     intervals = effective_intervals(plan, allocation, alpha, deviations)
     report = robust_line_report(plan, allocation, intervals)
     sys.stdout.write(emit_report(report, args.format))
@@ -95,8 +103,8 @@ def cmd_simulate(args) -> int:
     plan = _plan_from_args(args)
     allocation = _balanced_allocation(plan)
     config = SimConfig(
-        horizon_s=as_fraction(args.hours) * SECONDS_PER_HOUR,
-        warmup_s=as_fraction(args.warmup) * SECONDS_PER_HOUR,
+        horizon_s=_number("--hours", args.hours) * SECONDS_PER_HOUR,
+        warmup_s=_number("--warmup", args.warmup) * SECONDS_PER_HOUR,
         service_model=args.service,
         seed=args.seed,
         queue_capacity=args.queue_cap,
@@ -104,7 +112,7 @@ def cmd_simulate(args) -> int:
     result = simulate(plan, allocation, config)
     sys.stdout.write(emit_report(result, "table"))
     if args.verify:
-        verdict = verify_against_static(result, plan, allocation, as_fraction(args.tol))
+        verdict = verify_against_static(result, plan, allocation, _number("--tol", args.tol))
         for check in verdict.checks:
             status = "ok" if check.passed else "FAIL"
             sys.stdout.write(f"verify {check.name}: {status} ({check.detail})\n")

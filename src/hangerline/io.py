@@ -119,10 +119,8 @@ def _read_rows(text: str, required, allowed, what: str) -> list[tuple[int, int, 
                 continue
             try:
                 cells[column] = as_fraction(raw if raw or column in required else 0)
-            except DomainError:
-                raise ParseError(
-                    f"column {column!r}: not a decimal number: {raw!r}", row=row
-                ) from None
+            except DomainError as exc:
+                raise ParseError(f"column {column!r}: {exc}", row=row) from None
         rows.append((row, task_id, cells))
 
     if not rows:

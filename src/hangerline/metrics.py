@@ -14,6 +14,7 @@ from .errors import DomainError
 from .model import (
     Allocation,
     ProcessPlan,
+    _require_staffable,
     as_fraction,
     effective_cycle_time,
     line_cycle_time,
@@ -118,7 +119,10 @@ def compare(
     baseline_allocation: Allocation,
     new_allocation: Allocation,
 ) -> Comparison:
-    """Before/after report pair with both improvement views."""
+    """Before/after report pair with both improvement views. Both allocations
+    must fit the plan's seat budget."""
+    _require_staffable(plan, baseline_allocation)
+    _require_staffable(plan, new_allocation)
     before = productivity_report(plan, baseline_allocation)
     after = productivity_report(plan, new_allocation)
     improvement = eff_improvement(after.upph, before.upph)

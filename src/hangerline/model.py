@@ -14,6 +14,10 @@ from numbers import Rational
 from .errors import DomainError, InfeasibleError
 
 SECONDS_PER_HOUR = 3600
+# Decimal inputs must have |exponent| and |adjusted exponent| at most this, so
+# "1e999999999" is rejected instead of expanded into a billion-digit integer;
+# it also bounds the decimal denominators the simulator's tick clock must hold.
+MAX_DECIMAL_EXPONENT = 100
 
 
 def as_fraction(value) -> Fraction:
@@ -21,23 +25,30 @@ def as_fraction(value) -> Fraction:
 
     Strings must be plain decimal literals ("36.7"); floats are taken at their
     shortest decimal representation, which is what a user typing 36.7 means.
+    Decimals, strings and floats must keep their exponent within
+    +/-MAX_DECIMAL_EXPONENT (1e100 and 1e-100 pass, 1e101 does not).
     """
     if isinstance(value, bool):
         raise DomainError(f"expected a number, got {value!r}")
     if isinstance(value, Rational):
         return Fraction(value)
     try:
-        if isinstance(value, Decimal):
-            return Fraction(value)
         if isinstance(value, float):
-            return Fraction(Decimal(repr(value)))
-        if isinstance(value, str):
-            return Fraction(Decimal(value.strip()))
+            number = Decimal(repr(value))
+        elif isinstance(value, str):
+            number = Decimal(value.strip())
+        elif isinstance(value, Decimal):
+            number = value
+        else:
+            raise DomainError(f"cannot interpret {value!r} as a number")
+        if not number.is_finite():
+            raise DomainError(f"not a finite number: {value!r}")
     except InvalidOperation:
         raise DomainError(f"not a decimal number: {value!r}") from None
-    except (ValueError, OverflowError):  # NaN and the infinities
-        raise DomainError(f"not a finite number: {value!r}") from None
-    raise DomainError(f"cannot interpret {value!r} as a number")
+    exponent = number.as_tuple().exponent
+    if max(abs(exponent), abs(number.adjusted())) > MAX_DECIMAL_EXPONENT:
+        raise DomainError(f"exponent of {value!r} is outside +/-{MAX_DECIMAL_EXPONENT}")
+    return Fraction(number)
 
 
 @dataclass(frozen=True)
@@ -169,6 +180,20 @@ def _require_coverage(plan: ProcessPlan, allocation: Allocation) -> None:
     missing = [t.id for t in plan.tasks if t.id not in allocation.stations]
     if missing:
         raise DomainError(f"allocation missing tasks: {missing}")
+    ids = set(plan.task_ids)
+    foreign = [i for i in allocation.stations if i not in ids]
+    if foreign:
+        raise DomainError(f"allocation has tasks the plan does not: {foreign}")
+
+
+def _require_staffable(plan: ProcessPlan, allocation: Allocation) -> None:
+    """Coverage plus the seat budget, for callers that run or report the
+    allocation as a real line (static what-if figures may exceed the budget)."""
+    _require_coverage(plan, allocation)
+    if allocation.total > plan.seat_budget:
+        raise DomainError(
+            f"allocation uses {allocation.total} stations, above the seat budget {plan.seat_budget}"
+        )
 
 
 def line_cycle_time(plan: ProcessPlan, allocation: Allocation) -> Fraction:

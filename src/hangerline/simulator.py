@@ -15,12 +15,24 @@ holds its server (blocking after service) until a slot opens.
 
 Event ordering is (time, stage index, piece id, kind, insertion sequence),
 so identical inputs replay to bit-identical results.
+
+Time runs on one clock whose tick is 1/scale seconds, where scale is the
+least common multiple of the denominators of the horizon, warmup, transfer
+delay and sample interval, and under deterministic service also of the task
+cycle times. Deterministic runs are therefore exact integer arithmetic. Under
+uniform service each drawn service time is a float number of ticks, while the
+sample instants stay exact multiples of the interval. Sample times and exact
+utilizations are turned back into Fractions of a second only in the result.
+With power-of-two denominators (all integer times included) uniform results
+equal those of a float-seconds clock bit for bit; otherwise they differ from
+it only in float rounding, which can move an event across a sample instant.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +42,7 @@ from .model import (
     SECONDS_PER_HOUR,
     Allocation,
     ProcessPlan,
+    _require_staffable,
     as_fraction,
     bottleneck_tasks,
     line_cycle_time,
@@ -138,23 +151,29 @@ def _raw_service_bounds(plan: ProcessPlan, allocation: Allocation, alpha: Fracti
 
 def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> SimResult:
     """Run the line and collect throughput, WIP trajectories and utilization."""
+    _require_staffable(plan, allocation)
     n = len(plan.tasks)
     s = [allocation.count(t.id) for t in plan.tasks]
-    raw_time = [t.cycle_time for t in plan.tasks]
     uniform = config.service_model == "uniform"
     bounds = _raw_service_bounds(plan, allocation, config.alpha) if uniform else None
     rng = random.Random(config.seed)
 
-    horizon, warmup = config.horizon_s, config.warmup_s
-    delay = config.transfer_delay_s
+    # the clock counts ticks of 1/scale s, so every exact time is an int
+    exact = [config.horizon_s, config.warmup_s, config.transfer_delay_s, config.sample_interval_s]
+    if not uniform:
+        exact += [t.cycle_time for t in plan.tasks]
+    scale = math.lcm(*(x.denominator for x in exact))
+    if uniform and scale > sys.float_info.max:
+        raise DomainError(f"config times need {scale} ticks per second, beyond a float clock")
+    horizon, warmup, delay, interval, *raw_time = (x.numerator * (scale // x.denominator) for x in exact)
     cap = config.queue_capacity
-    window = horizon - warmup
+    window = config.horizon_s - config.warmup_s
 
     queue: list[deque[int]] = [deque() for _ in range(n)]  # queue[0] stays unused (source)
     blocked: list[deque[int]] = [deque() for _ in range(n)]
     inbound = [0] * n
     servers_busy = [0] * n
-    busy_time = [Fraction(0)] * n
+    busy_time = [0] * n
 
     released = 0
     completed_total = 0
@@ -171,7 +190,7 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
     def service_time(i):
         if uniform:
             lo, hi = bounds[i]
-            return rng.uniform(float(lo), float(hi))
+            return rng.uniform(float(lo), float(hi)) * scale
         return raw_time[i]
 
     def clipped_span(t0, t1):
@@ -241,24 +260,24 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
         in_flight = in_flight_now()
         if released != completed_total + in_flight:
             raise InvariantError(
-                f"piece conservation broken at t={t}: released={released}, "
+                f"piece conservation broken at t={Fraction(t, scale)}: released={released}, "
                 f"completed={completed_total}, in_flight={in_flight}"
             )
         samples.append(
             WipSample(
-                time=t,
+                time=Fraction(t, scale),
                 queue_lengths={plan.tasks[i].id: len(queue[i]) for i in range(1, n)},
                 released=released,
                 completed=completed_total,
                 in_flight=in_flight,
             )
         )
-        nxt = t + config.sample_interval_s
+        nxt = t + interval
         if nxt <= horizon:
             push(nxt, n, 0, _SAMPLE)
 
-    push(Fraction(0), 0, 0, _START)
-    push(Fraction(0), n, 0, _SAMPLE)
+    push(0, 0, 0, _START)
+    push(0, n, 0, _SAMPLE)
 
     while heap and heap[0][0] <= horizon:
         t, stage, piece, kind, _ = heapq.heappop(heap)
@@ -280,8 +299,11 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
             f"completed={completed_total}, in_flight={in_flight}"
         )
 
+    # float busy time (uniform service) gives a float share, int ticks an exact one
     utilization = {
-        plan.tasks[i].id: busy_time[i] / (s[i] * window) for i in range(n)
+        plan.tasks[i].id: busy / (s[i] * (horizon - warmup)) if isinstance(busy, float)
+        else Fraction(busy, scale) / (s[i] * window)
+        for i, busy in enumerate(busy_time)
     }
     return SimResult(
         plan=plan,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hangerline as hl
-from hangerline.cli import main
+from hangerline.cli import MAX_ALPHA_POINTS, main
 
 
 def run(capsys, *argv):
@@ -132,6 +132,27 @@ class TestSweep:
         assert alphas == {"0.5", "0.75", "1"}
         assert "LINE,1,40,38,42" in lines
 
+    def test_shirt_grid_keeps_every_point(self, capsys, tasks_csv_path, deviations_csv_path):
+        code, out, _ = run(
+            capsys, "sweep", "--tasks", tasks_csv_path, "--seats", "32",
+            "--deviations", deviations_csv_path, "--alphas", "0.01:1:0.01",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 100 * 20  # header, 100 alphas x (19 tasks + LINE)
+
+    @pytest.mark.parametrize("spec", ["0:1:1e-9", "0:10000:1"])
+    def test_grid_above_the_point_limit_exits_2(
+        self, capsys, tasks_csv_path, deviations_csv_path, spec
+    ):
+        # the count is checked before a single point is built
+        code, out, err = run(
+            capsys, "sweep", "--tasks", tasks_csv_path, "--seats", "32",
+            "--deviations", deviations_csv_path, "--alphas", spec,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--alphas" in err and str(MAX_ALPHA_POINTS) in err
+
     def test_malformed_grid(self, capsys, tasks_csv_path, deviations_csv_path):
         code, _, err = run(
             capsys, "sweep", "--tasks", tasks_csv_path, "--seats", "32",
@@ -209,6 +230,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "balance", "--tasks", str(bad), "--seats", "4")
         assert code == 2
         assert "row 3" in err
+
+    def test_huge_exponent_cell_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "big.csv"
+        bad.write_text("task_id,description,cycle_time_sec\n1,a,30\n2,b,1e999999999\n")
+        code, _, err = run(capsys, "balance", "--tasks", str(bad), "--seats", "4")
+        assert code == 2
+        assert "row 3" in err and "exponent" in err
+
+    def test_huge_exponent_hours_exits_2(self, capsys, tasks_csv_path):
+        code, _, err = run(
+            capsys, "simulate", "--tasks", tasks_csv_path, "--seats", "32",
+            "--hours", "1e999999999",
+        )
+        assert code == 2
+        assert err.startswith("error: --hours:") and "exponent" in err
 
     def test_non_finite_alpha_exits_2(self, capsys, tasks_csv_path, deviations_csv_path):
         code, _, err = run(

@@ -116,6 +116,14 @@ class TestCompare:
         assert cmp.improvement == 0
         assert cmp.output_ratio == 1
 
+    def test_allocation_above_the_seat_budget_rejected(self):
+        plan = make_plan([30, 60, 45], 3)
+        ones = hl.Allocation.ones(plan)
+        with pytest.raises(DomainError, match="13 stations"):
+            hl.compare(plan, ones, hl.Allocation({1: 4, 2: 5, 3: 4}))
+        with pytest.raises(DomainError, match="seat budget"):
+            hl.compare(plan, hl.Allocation({1: 1, 2: 2, 3: 1}), ones)
+
     def test_tiny_baseline_falls_back_to_exact_view(self):
         # a UPPH below 0.01 truncates to zero, so the displayed ratio
         # silently switches to the full precision value instead of dividing

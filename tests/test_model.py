@@ -48,6 +48,21 @@ class TestAsFraction:
         with pytest.raises(DomainError):
             hl.as_fraction(value)
 
+    @pytest.mark.parametrize(
+        "value",
+        ["1e101", "1e-101", "1e999999999", "1e-999999999", "0e-200", "1" + "0" * 101,
+         Decimal("1e1000000"), 1e300],
+    )
+    def test_rejects_exponent_outside_limit(self, value):
+        # an unbounded exponent would expand into an integer of that many digits
+        with pytest.raises(DomainError, match="exponent"):
+            hl.as_fraction(value)
+
+    def test_exponent_limit_is_inclusive(self):
+        assert hl.MAX_DECIMAL_EXPONENT == 100
+        assert hl.as_fraction("1e100") == 10**100
+        assert hl.as_fraction("1e-100") == Fraction(1, 10**100)
+
 
 class TestTask:
     def test_valid(self):
@@ -131,6 +146,11 @@ class TestCycleTimeAlgebra:
         plan = make_plan([30, 120, 45], 5)
         alloc = hl.Allocation({1: 1, 2: 3, 3: 1})
         assert hl.line_cycle_time(plan, alloc) == Fraction(45)
+
+    def test_foreign_task_ids_rejected(self):
+        plan = make_plan([30, 60], 3)
+        with pytest.raises(DomainError, match=r"\[99\]"):
+            hl.line_cycle_time(plan, hl.Allocation({1: 1, 2: 2, 99: 5}))
 
     def test_bottleneck_tasks(self):
         plan = make_plan([30, 120, 45], 5)

@@ -1,7 +1,9 @@
 """Discrete-event simulation: throughput, WIP behavior, verification checks."""
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hangerline as hl
 from hangerline import DomainError, SimConfig
@@ -274,6 +276,24 @@ class TestConfigValidation:
                 shirt_plan, hl.Allocation({19: 1}), SimConfig(horizon_s=hours(1))
             )
 
+    def test_uniform_clock_must_fit_a_float(self, devs_plan):
+        alloc = hl.greedy_balance(devs_plan).allocation
+        cfg = SimConfig(
+            horizon_s=hours(1), service_model="uniform", sample_interval_s=Fraction(1, 3**700)
+        )
+        with pytest.raises(DomainError, match="float clock"):
+            hl.simulate(devs_plan, alloc, cfg)
+
+    def test_allocation_with_foreign_tasks_rejected(self):
+        plan = make_plan([30, 60], 3)
+        with pytest.raises(DomainError, match=r"\[99\]"):
+            hl.simulate(plan, hl.Allocation({1: 1, 2: 2, 99: 5}), SimConfig(horizon_s=hours(1)))
+
+    def test_allocation_above_the_seat_budget_rejected(self):
+        plan = make_plan([30, 60], 3)
+        with pytest.raises(DomainError, match="seat budget 3"):
+            hl.simulate(plan, hl.Allocation({1: 2, 2: 2}), SimConfig(horizon_s=hours(1)))
+
 
 class TestVerifyAgainstStatic:
     def test_rejects_mismatched_inputs(self, shirt_plan, balanced, baseline_plan):
@@ -314,3 +334,99 @@ class TestVerifyAgainstStatic:
         run = hl.simulate(plan, alloc, SimConfig(horizon_s=hours(1)))
         verdict = hl.verify_against_static(run, plan, alloc, tolerance=Fraction(2, 100))
         assert verdict.passed
+
+
+def odd_plan():
+    """Cycle times with denominators 3 and 7 and a 9-seat budget."""
+    times = [Fraction(12), Fraction(110, 3), Fraction(73, 7), Fraction(45, 2), Fraction(20)]
+    return make_plan(times, 9)
+
+
+ODD_TIMES = dict(
+    horizon_s=Fraction(10000, 3),
+    warmup_s=Fraction(3601, 3),
+    transfer_delay_s=Fraction(1, 3),
+    sample_interval_s=Fraction(7, 3),
+)
+
+
+class TestExactClock:
+    """Runs whose times share no common integer unit, pinned to the JSON the
+    Fraction-clock simulator produced for them (sha256 of emit_report)."""
+
+    @pytest.mark.parametrize(
+        "shape, config, digest",
+        [
+            ("balanced", dict(horizon_s=3600),
+             "c4533659fde22390a237e60c5883bc7118602cdb8a6e584bf19d10ca174d1f7f"),
+            ("balanced", ODD_TIMES,
+             "9de8acb2d58f803177a7c9c1eb8ed1c2f91c26a9be23a95fbd36d87df5053caf"),
+            ("balanced", dict(ODD_TIMES, queue_capacity=2),
+             "b8045423c52fec84cc1b479d7ca4e6711114b5754f9ff26e3289be9822765b2c"),
+            ("ones", ODD_TIMES,
+             "591fd859b260f7fca36d4e71f12e4dfc085452b0811220b7984e9487e678198e"),
+        ],
+        ids=["plain", "odd_times", "odd_times_cap2", "odd_times_unbalanced"],
+    )
+    def test_deterministic_json_is_pinned(self, shape, config, digest):
+        plan = odd_plan()
+        alloc = hl.greedy_balance(plan).allocation if shape == "balanced" else hl.Allocation.ones(plan)
+        text = hl.emit_report(hl.simulate(plan, alloc, SimConfig(**config)), "json")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_uniform_samples_sit_on_the_exact_grid(self, devs_plan):
+        alloc = hl.greedy_balance(devs_plan).allocation
+        cfg = SimConfig(
+            horizon_s=hours(2), service_model="uniform", seed=7,
+            sample_interval_s=Fraction(7, 3), transfer_delay_s=Fraction(1, 3),
+        )
+        times = [s.time for s in hl.simulate(devs_plan, alloc, cfg).wip_timeseries]
+        assert times == [k * Fraction(7, 3) for k in range(len(times))]
+        assert times[-1] == Fraction(21595, 3)
+
+
+@st.composite
+def small_runs(draw):
+    n = draw(st.integers(1, 5))
+    times = [
+        Fraction(draw(st.integers(5 * den, 60 * den)), den)
+        for den in draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    ]
+    tasks = tuple(
+        hl.Task(id=i + 1, description=f"op {i + 1}", cycle_time=t, dev_plus=t / 4, dev_minus=t / 5)
+        for i, t in enumerate(times)
+    )
+    extra = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    plan = hl.ProcessPlan(tasks=tasks, seat_budget=n + sum(extra))
+    alloc = hl.Allocation({t.id: draw(st.integers(1, 1 + e)) for t, e in zip(tasks, extra)})
+    horizon = Fraction(draw(st.integers(60, 7200 * 4)), 4)
+    config = SimConfig(
+        horizon_s=horizon,
+        warmup_s=horizon * Fraction(draw(st.integers(0, 9)), 10),
+        service_model=draw(st.sampled_from(["deterministic", "uniform"])),
+        seed=draw(st.integers(0, 2**32)),
+        alpha=Fraction(1, draw(st.integers(1, 4))),
+        queue_capacity=draw(st.none() | st.integers(1, 3)),
+        transfer_delay_s=Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 12))),
+        sample_interval_s=Fraction(draw(st.integers(1, 600)), draw(st.integers(1, 12))),
+    )
+    return plan, alloc, config
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_runs())
+def test_small_runs_replay_conserve_and_sample_on_the_grid(run):
+    plan, alloc, config = run
+    result = hl.simulate(plan, alloc, config)
+    assert result == hl.simulate(plan, alloc, config)
+    for sample in result.wip_timeseries:
+        assert sample.released == sample.completed + sample.in_flight
+    released, completed_total, in_flight = result.conservation
+    assert released == completed_total + in_flight
+    for u in result.utilization.values():
+        # uniform shares are float sums of float spans, which can round a
+        # flat-out stage a few ulps above 1; exact shares may not leave [0, 1]
+        assert 0 <= u <= (1 + 1e-12 if isinstance(u, float) else 1)
+    times = [s.time for s in result.wip_timeseries]
+    assert times == [k * config.sample_interval_s for k in range(len(times))]
+    assert times[-1] <= config.horizon_s < times[-1] + config.sample_interval_s
