@@ -1,7 +1,7 @@
 """Balance the bundled 19-task shirt assembly line under a 32 seat budget.
 
 Walks the greedy pass split by split, then prints the final allocation
-table next to the parametric-search answer.
+table next to the optimal solver's answer.
 """
 import hangerline as hl
 
@@ -23,5 +23,5 @@ print()
 print(hl.emit_report(result, format="table"))
 
 optimal = hl.optimal_balance(plan)
-print(f"\nparametric search agrees: line CT {optimal.line_cycle_time} s/pc "
+print(f"\noptimal solver agrees: line CT {optimal.line_cycle_time} s/pc "
       f"with {optimal.total_stations} seats")

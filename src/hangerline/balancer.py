@@ -3,14 +3,17 @@
 Three routes to an allocation:
 
 * greedy_balance   - repeatedly split the current bottleneck task; the shop
-                     floor procedure, provably optimal for this min-max form.
-* optimal_balance  - parametric search over candidate cycle times; exact.
+                     floor procedure, provably optimal for this min-max form
+                     (Ibaraki & Katoh, Resource Allocation Problems, 1988).
+* optimal_balance  - the same heap-driven loop, started from a proximity
+                     lower bound on the optimal station counts (Hochbaum,
+                     Math. of OR 19(2), 1994); exact.
 * exhaustive_balance - brute-force enumeration for small instances; the
                      oracle the other two are tested against.
 """
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal
@@ -22,6 +25,7 @@ from .model import (
     as_fraction,
     effective_cycle_time,
     line_cycle_time,
+    work_content,
 )
 
 Method = Literal["greedy", "optimal", "exhaustive"]
@@ -34,8 +38,10 @@ EXHAUSTIVE_MAX_SEATS = 16
 class BalanceResult:
     """An allocation plus how it was reached.
 
-    iterations records each station added beyond the initial one-per-task
-    layout, as (task id, line cycle time after the split).
+    iterations records stations added by bottleneck splitting, as (task id,
+    line cycle time after the split). For greedy that is every station beyond
+    one per task; for optimal, only the stations added after the optimal line
+    cycle time is first reached; exhaustive records none.
     """
 
     method: Method
@@ -49,15 +55,39 @@ class BalanceResult:
         return self.allocation.total
 
 
-def _bottleneck_id(plan: ProcessPlan, stations: dict[int, int]) -> int:
-    """Task with the maximum effective cycle time; ties go to the lowest id."""
-    best_id = None
-    best_ct = None
-    for t in plan.tasks:
-        ct = effective_cycle_time(t.cycle_time, stations[t.id])
-        if best_ct is None or ct > best_ct or (ct == best_ct and t.id < best_id):
-            best_id, best_ct = t.id, ct
-    return best_id
+def _add_seats(
+    plan: ProcessPlan, stations: dict[int, int], target_ct=None
+) -> list[tuple[int, Fraction]]:
+    """Add one station at a time to the bottleneck, in place, until the seat
+    budget is spent or the line cycle time is at most target_ct.
+
+    A max-heap keyed (-t_i / s_i, id) holds the bottleneck on top, lowest id
+    on ties. Returns (task id, line cycle time after the split) per station.
+    """
+    cycle = {t.id: t.cycle_time for t in plan.tasks}
+    heap = [(-cycle[i] / s, i) for i, s in stations.items()]
+    heapq.heapify(heap)
+    seats = sum(stations.values())
+    iterations: list[tuple[int, Fraction]] = []
+    # the heap top's time is the line cycle time
+    while seats < plan.seat_budget and (target_ct is None or -heap[0][0] > target_ct):
+        split = heap[0][1]
+        stations[split] += 1
+        seats += 1
+        heapq.heapreplace(heap, (-cycle[split] / stations[split], split))
+        iterations.append((split, line_cycle_time(plan, Allocation(stations))))
+    return iterations
+
+
+def _result(method: Method, plan: ProcessPlan, stations: dict[int, int], iterations) -> BalanceResult:
+    allocation = Allocation(stations)
+    return BalanceResult(
+        plan=plan,
+        allocation=allocation,
+        line_cycle_time=line_cycle_time(plan, allocation),
+        method=method,
+        iterations=tuple(iterations),
+    )
 
 
 def greedy_balance(plan: ProcessPlan, target_ct=None) -> BalanceResult:
@@ -74,67 +104,29 @@ def greedy_balance(plan: ProcessPlan, target_ct=None) -> BalanceResult:
             raise DomainError(f"target_ct must be > 0, got {target_ct}")
 
     stations = {t.id: 1 for t in plan.tasks}
-    iterations: list[tuple[int, Fraction]] = []
-    while sum(stations.values()) < plan.seat_budget:
-        allocation = Allocation(stations)
-        if target_ct is not None and line_cycle_time(plan, allocation) <= target_ct:
-            break
-        split = _bottleneck_id(plan, stations)
-        stations[split] += 1
-        iterations.append((split, line_cycle_time(plan, Allocation(stations))))
-
-    allocation = Allocation(stations)
-    return BalanceResult(
-        plan=plan,
-        allocation=allocation,
-        line_cycle_time=line_cycle_time(plan, allocation),
-        method="greedy",
-        iterations=tuple(iterations),
-    )
-
-
-def _seats_needed(plan: ProcessPlan, ct: Fraction) -> int:
-    return sum(math.ceil(t.cycle_time / ct) for t in plan.tasks)
+    return _result("greedy", plan, stations, _add_seats(plan, stations, target_ct))
 
 
 def optimal_balance(plan: ProcessPlan) -> BalanceResult:
     """Minimal achievable line cycle time under the seat budget.
 
-    The optimum is always of the form t_i / k, so it suffices to test the
-    finite candidate set {t_i / k : k = 1..budget}. Feasibility of a candidate
-    CT is sum(ceil(t_i / CT)) <= budget, monotone in CT, so a binary search
-    over the sorted candidates finds the smallest feasible one. Leftover
-    seats are then spent on the current bottleneck so the reported total
-    matches the budget.
+    Greedy splitting is optimal for this min-max allocation, so this is the
+    greedy loop started from a lower bound on the optimal station counts,
+    s_i = max(1, floor(t_i * (B - n) / W)) for budget B, n tasks and work
+    content W. Giving every task 1 + floor(t_i * (B - n) / W) stations fits
+    the budget and runs below W / (B - n), so the optimum CT* does too, and
+    ceil(t_i / CT*) > t_i * (B - n) / W. From that bound the loop reaches the
+    counts ceil(t_i / CT*) exactly, then spends the leftover seats on the
+    bottleneck so the reported total matches the budget. iterations lists
+    only those leftover seats.
     """
-    budget = plan.seat_budget
-    candidates = sorted({t.cycle_time / k for t in plan.tasks for k in range(1, budget + 1)})
-
-    lo, hi = 0, len(candidates) - 1
-    # the largest candidate (max t_i, all s_i = 1) is always feasible
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _seats_needed(plan, candidates[mid]) <= budget:
-            hi = mid
-        else:
-            lo = mid + 1
-    best_ct = candidates[lo]
-
-    stations = {t.id: math.ceil(t.cycle_time / best_ct) for t in plan.tasks}
-    iterations: list[tuple[int, Fraction]] = []
-    while sum(stations.values()) < budget:
-        split = _bottleneck_id(plan, stations)
-        stations[split] += 1
-        iterations.append((split, line_cycle_time(plan, Allocation(stations))))
-
-    allocation = Allocation(stations)
-    return BalanceResult(
-        plan=plan,
-        allocation=allocation,
-        line_cycle_time=line_cycle_time(plan, allocation),
-        method="optimal",
-        iterations=tuple(iterations),
-    )
+    spare = plan.seat_budget - len(plan.tasks)
+    work = work_content(plan)
+    stations = {t.id: max(1, t.cycle_time * spare // work) for t in plan.tasks}
+    start_ct = line_cycle_time(plan, Allocation(stations))
+    iterations = _add_seats(plan, stations)
+    cts = [start_ct, *(ct for _, ct in iterations)]
+    return _result("optimal", plan, stations, iterations[cts.index(cts[-1]):])
 
 
 def _vectors(extra: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -174,11 +166,4 @@ def exhaustive_balance(plan: ProcessPlan) -> BalanceResult:
             best_key, best_vector = key, vector
 
     stations = {t.id: s for t, s in zip(plan.tasks, best_vector)}
-    allocation = Allocation(stations)
-    return BalanceResult(
-        plan=plan,
-        allocation=allocation,
-        line_cycle_time=best_key[0],
-        method="exhaustive",
-        iterations=(),
-    )
+    return _result("exhaustive", plan, stations, ())

@@ -25,9 +25,14 @@ from .simulator import SimConfig, simulate, verify_against_static
 
 # the largest --alphas grid sweep accepts; each point is a full robust report
 MAX_ALPHA_POINTS = 10_000
+# the largest --seats any subcommand accepts, about 3x the largest lines in
+# view (~3000 seats); balancing time grows with every seat
+MAX_SEATS = 10_000
 
 
 def _plan_from_args(args) -> ProcessPlan:
+    if args.seats > MAX_SEATS:
+        raise DomainError(f"--seats {args.seats} is above the limit of {MAX_SEATS}")
     tasks = load_tasks(args.tasks)
     return ProcessPlan(tasks=tasks, seat_budget=args.seats)
 

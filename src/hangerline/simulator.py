@@ -299,12 +299,15 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
             f"completed={completed_total}, in_flight={in_flight}"
         )
 
-    # float busy time (uniform service) gives a float share, int ticks an exact one
-    utilization = {
-        plan.tasks[i].id: busy / (s[i] * (horizon - warmup)) if isinstance(busy, float)
-        else Fraction(busy, scale) / (s[i] * window)
-        for i, busy in enumerate(busy_time)
-    }
+    # float busy time (uniform service) gives a float share, int ticks an exact
+    # one. An exact busy time never exceeds the stage's server ticks in the
+    # window, so clamping the float sum to them removes only its rounding.
+    utilization = {}
+    for i, busy in enumerate(busy_time):
+        capacity = s[i] * (horizon - warmup)
+        utilization[plan.tasks[i].id] = (
+            min(busy, capacity) / capacity if isinstance(busy, float) else Fraction(busy, capacity)
+        )
     return SimResult(
         plan=plan,
         allocation=allocation,

@@ -1,5 +1,7 @@
-"""Balancing strategies: greedy splitting, parametric optimal, exhaustive oracle."""
+"""Balancing strategies: greedy splitting, warm-started optimal, exhaustive oracle."""
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -191,3 +193,118 @@ def test_balancing_is_deterministic(inst):
     second = hl.greedy_balance(plan)
     assert first.allocation == second.allocation
     assert first.iterations == second.iterations
+
+
+def synthetic_plan(seed, n, first_id, decimals, factor):
+    """A seeded line with tied times, gapped ids and 1- or 2-decimal times."""
+    rng = random.Random(seed)
+    unit = 10**decimals
+    palette = [Fraction(rng.randint(5 * unit, 120 * unit), unit) for _ in range(max(3, n // 3))]
+    ids = list(itertools.accumulate(rng.randint(1, 3) for _ in range(n - 1)))
+    tasks = tuple(
+        hl.Task(id=first_id + gap, description=f"op {k}", cycle_time=rng.choice(palette))
+        for k, gap in enumerate([0, *ids])
+    )
+    return hl.ProcessPlan(tasks=tasks, seat_budget=n * factor)
+
+
+SYNTHETIC_LINES = {
+    "synth_a": (1, 12, 1, 1, 2),
+    "synth_b": (2, 20, 100, 2, 3),
+    "synth_c": (3, 8, 41, 1, 6),
+    "synth_d": (4, 30, 5, 2, 4),
+    "synth_e": (5, 15, 1000, 1, 5),
+    "synth_f": (6, 25, 17, 2, 2),
+}
+
+
+def pinned_runs(plan):
+    """sha256 of JSON + table for greedy, greedy at half the slowest task time, optimal."""
+    target = max(t.cycle_time for t in plan.tasks) / 2
+    runs = (hl.greedy_balance(plan), hl.greedy_balance(plan, target_ct=target), hl.optimal_balance(plan))
+    return tuple(
+        hashlib.sha256((hl.emit_report(r, "json") + hl.emit_report(r, "table")).encode()).hexdigest()
+        for r in runs
+    )
+
+
+# pinned_runs digests, captured from the candidate-search solvers
+PINNED_DIGESTS = {
+    "shirt_19": (
+        "b2f6894bec79b381bcae7582f49cf4d43d7a8f15cfddae1e9d6b44797cf9d12d",
+        "b2f6894bec79b381bcae7582f49cf4d43d7a8f15cfddae1e9d6b44797cf9d12d",
+        "63aeabd99d632e48a42b0fcbdacf2d176d073ca8e3ad8c20ad1e5172ca4def83",
+    ),
+    "shirt_25": (
+        "89e210728cd2244a9116c34f740fccbf6076e00ecc8ac5cdcaa7c2f5aaf14317",
+        "89e210728cd2244a9116c34f740fccbf6076e00ecc8ac5cdcaa7c2f5aaf14317",
+        "4bbac2829fa37181d5f74d37eb42e7e0056fd6354508cb99573992edc12c244e",
+    ),
+    "shirt_32": (
+        "39d9b972da587e9f8ad9b0e58bdaccc0ecb09a2a72ef23fbe6c49be8e76ad6d8",
+        "153f1a15b1d30fd3687e937c0d9396090213b52afb615fa17e7e7413fbfebbba",
+        "4529af92d3b61a2ca71abdeb1e82d9e1b0211af07258b988680a26c009332851",
+    ),
+    "shirt_40": (
+        "a15af0f8679ff086999dac51d847fed65279e8b4d6592f1d7363fbfb802c96ca",
+        "5ef665fa38a5d1dcacd2c95c23c429ae386b3d11e3debaf246b92f8206cbcea8",
+        "8cf95b92695993943ce227801df8c59e92e149b7f52c36f196187d7524a9e240",
+    ),
+    "synth_a": (
+        "c709b1987548fd3619708f454aa90edf81263b00d4b720839c7ded5ba6ff0c96",
+        "936b611c00d13de24546c8760eca48c9edafc9a7821c9ef3c983a9214a3fff41",
+        "69b2c952a35a945c29bba335fbad478764178c7b0e59f15bff13743913518b0d",
+    ),
+    "synth_b": (
+        "ba0e4411488936c06ec2c5198a2459e697774bcc670eb8b570d33e94d37f9221",
+        "1c34333a86dbdd810bd8e24cfb3699fab4cd2314ae530a97b4a44e970e7f2f94",
+        "4c3682b4ae851fbf0e69568461f84c31f2f72fe134731bcd7bed1435cc375ac9",
+    ),
+    "synth_c": (
+        "81c7bb9781039e0e7dc93455ebc917992ce7fc3271d5ac177104db0bd2f842a8",
+        "414b842d1729de08c73cdfdc9523dd3a8d880a2c8222cad044ee4b6c3f09cce2",
+        "38be53ee8e5ee2316a7fa456fe25ebae62fde1af23078eab6dae8735da9a3233",
+    ),
+    "synth_d": (
+        "0162499bf736378ae248ca602137df6154708500c783a5a441fa406aa7d32ebb",
+        "75cb82e15a8a5c41c6cd2e2785adc85d88da03c9b686dc741c59117938f293db",
+        "f110b9e45cb517317eda94ab38663e00fc75535ca64c3d4e97983436f51c8b20",
+    ),
+    "synth_e": (
+        "4e959d1a9d09804241983738484860adaf162f221a798941fa73b1df9219a310",
+        "1fcaa176a59c106561e419fed860ea162330cb9eaa2aee159ebd70a5ad49fd4c",
+        "8bfb9bc599c738e4f8603b9547a47467326bacea1fdb570e0dabb3b0183eff14",
+    ),
+    "synth_f": (
+        "6d55c54d28cec924accf2392e15252b1d7562aff4d2939af991a454e33dd02e2",
+        "ae6b56a170b3a573f5b29e7ae22650a2f4e445ec584d07d736f740146d13dec8",
+        "9eac8fe809f1ef47fcf77ea195097b47aad761ebfaea755763020840db8d7178",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+def test_reports_are_pinned(case, main_tasks):
+    if case.startswith("shirt_"):
+        plan = hl.ProcessPlan(tasks=main_tasks, seat_budget=int(case[len("shirt_"):]))
+    else:
+        plan = synthetic_plan(*SYNTHETIC_LINES[case])
+    assert pinned_runs(plan) == PINNED_DIGESTS[case]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    times=st.lists(st.integers(1, 60), min_size=1, max_size=10),
+    den=st.sampled_from([1, 2, 3, 10]),
+    extra=st.integers(0, 30),
+    target=st.fractions(min_value=Fraction(1, 10), max_value=60),
+)
+def test_optimal_is_greedy_from_its_optimum(times, den, extra, target):
+    plan = make_plan([Fraction(t, den) for t in times], len(times) + extra)
+    greedy = hl.greedy_balance(plan)
+    optimal = hl.optimal_balance(plan)
+    stopped = hl.greedy_balance(plan, target_ct=target)
+    assert optimal.allocation == greedy.allocation
+    assert optimal.line_cycle_time == greedy.line_cycle_time
+    assert greedy.iterations[len(greedy.iterations) - len(optimal.iterations):] == optimal.iterations
+    assert greedy.iterations[: len(stopped.iterations)] == stopped.iterations

@@ -1,15 +1,19 @@
 """Command-line interface: subcommands, output formats, exit codes."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hangerline as hl
-from hangerline.cli import MAX_ALPHA_POINTS, main
+from hangerline.cli import MAX_ALPHA_POINTS, MAX_SEATS, main
 
 
 def run(capsys, *argv):
@@ -261,11 +265,92 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", [["balance", "--method", "optimal"], ["simulate", "--hours", "1"]])
+    @pytest.mark.parametrize("seats", [MAX_SEATS + 1, 10**12])
+    def test_seats_above_the_limit_exit_2(self, capsys, tasks_csv_path, command, seats):
+        code, out, err = run(capsys, *command, "--tasks", tasks_csv_path, "--seats", str(seats))
+        assert code == 2
+        assert out == ""
+        assert "--seats" in err and str(MAX_SEATS) in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "balance", "--tasks", str(tmp_path / "ghost.csv"), "--seats", "4"
         )
         assert code == 2
+
+
+_TASKS_FULL = "task_id,description,cycle_time_sec,dev_plus_sec,dev_minus_sec"
+_BAD_CELLS = ["", "0", "-1", "1e999", "nan", "-inf", "1/0", "\u00b2", " 7 ", "x", "1,2", "\n"]
+_small = st.decimals(0, 4, places=2).map(str)
+_COLUMNS = {
+    "description": st.text(
+        st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'), max_size=6
+    ),
+    "cycle_time_sec": st.one_of(st.integers(5, 120).map(str), st.decimals(5, 120, places=1).map(str)),
+    "dev_plus_sec": _small,
+    "dev_minus_sec": _small,
+}
+
+
+@st.composite
+def _csv_bytes(draw, header):
+    """Arbitrary bytes, or a CSV under `header` whose cells are valid except at most one."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=120))
+    columns = header.split(",")[1:]
+    ids = draw(st.lists(st.integers(1, 8), unique=True, min_size=1, max_size=6))
+    rows = [[str(i), *(draw(_COLUMNS[c]) for c in columns)] for i in ids]
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        bad = draw(st.one_of(st.sampled_from(_BAD_CELLS), st.text(max_size=4)))
+        row[draw(st.integers(0, len(columns)))] = bad
+    return "\n".join([header, *map(",".join, rows)]).encode()
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(["balance", "compare", "robust", "sweep"]))
+    argv = [command, "--seats", str(draw(st.integers(-1, 64)))]
+    if command == "balance":
+        argv += ["--method", draw(st.sampled_from(["greedy", "optimal"]))]
+        argv += ["--format", draw(st.sampled_from(["table", "json"]))]
+        target = draw(st.sampled_from([None, "0", "25", "-3", "nan", "1e999", "x"]))
+        argv += [] if target is None else ["--target-ct", target]
+    if command == "robust":
+        argv += ["--alpha", draw(st.sampled_from(["1", "0.5", "0", "2", "-1", "nan", "1e-9", "x"]))]
+    if command == "sweep":
+        # every grid here has at most 20 points
+        grids = ["0.05:1:0.05", "0:1:0.5", "1:0:0.1", "0.5:0.5:1", "0:1:0", "0:1", "a:b:c"]
+        argv += ["--alphas", draw(st.sampled_from(grids))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    call=cli_calls(),
+    tasks=st.sampled_from(["task_id,description,cycle_time_sec", _TASKS_FULL]).flatmap(_csv_bytes),
+    deviations=_csv_bytes("task_id,dev_plus_sec,dev_minus_sec"),
+)
+def test_main_keeps_its_exit_code_contract(call, tasks, deviations):
+    # whatever the files hold, main exits 0, 2, 3 or 4 and prints no traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in (("tasks", tasks), ("deviations", deviations)):
+            paths[name] = os.path.join(tmp, f"{name}.csv")
+            with open(paths[name], "wb") as f:
+                f.write(data)
+        argv = [*call, "--tasks", paths["tasks"]]
+        if call[0] in ("robust", "sweep"):
+            argv += ["--deviations", paths["deviations"]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse
+                code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestRoundTripThroughCli:
