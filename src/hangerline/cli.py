@@ -7,6 +7,7 @@ success, 2 for input or parse problems, 3 for an infeasible seat budget,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ MAX_ALPHA_POINTS = 10_000
 # the largest --seats any subcommand accepts, about 3x the largest lines in
 # view (~3000 seats); balancing time grows with every seat
 MAX_SEATS = 10_000
+# the most stage visits plus WIP samples simulate takes on: ~10 s at ~200k visits/s
+MAX_SIM_EVENTS = 2_000_000
 
 
 def _plan_from_args(args) -> ProcessPlan:
@@ -35,10 +38,6 @@ def _plan_from_args(args) -> ProcessPlan:
         raise DomainError(f"--seats {args.seats} is above the limit of {MAX_SEATS}")
     tasks = load_tasks(args.tasks)
     return ProcessPlan(tasks=tasks, seat_budget=args.seats)
-
-
-def _balanced_allocation(plan: ProcessPlan) -> Allocation:
-    return greedy_balance(plan).allocation
 
 
 def _number(flag: str, raw: str) -> Fraction:
@@ -78,7 +77,7 @@ def cmd_balance(args) -> int:
 
 def cmd_compare(args) -> int:
     plan = _plan_from_args(args)
-    comparison = compare(plan, Allocation.ones(plan), _balanced_allocation(plan))
+    comparison = compare(plan, Allocation.ones(plan), greedy_balance(plan).allocation)
     sys.stdout.write(emit_report(comparison, "table"))
     return 0
 
@@ -86,7 +85,7 @@ def cmd_compare(args) -> int:
 def cmd_robust(args) -> int:
     plan = _plan_from_args(args)
     deviations = load_deviations(args.deviations)
-    allocation = _balanced_allocation(plan)
+    allocation = greedy_balance(plan).allocation
     alpha = _number("--alpha", args.alpha)
     intervals = effective_intervals(plan, allocation, alpha, deviations)
     report = robust_line_report(plan, allocation, intervals)
@@ -97,7 +96,7 @@ def cmd_robust(args) -> int:
 def cmd_sweep(args) -> int:
     plan = _plan_from_args(args)
     deviations = load_deviations(args.deviations)
-    allocation = _balanced_allocation(plan)
+    allocation = greedy_balance(plan).allocation
     grid = _parse_alpha_grid(args.alphas)
     sweep = alpha_sweep(plan, allocation, deviations, grid)
     sys.stdout.write(emit_plot_data(sweep))
@@ -106,9 +105,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     plan = _plan_from_args(args)
-    allocation = _balanced_allocation(plan)
+    balanced = greedy_balance(plan)
+    allocation = balanced.allocation
+    horizon = _number("--hours", args.hours) * SECONDS_PER_HOUR
+    # pieces through every stage at the balanced pace, plus a WIP sample a minute
+    events = math.ceil(horizon / balanced.line_cycle_time) * len(plan.tasks) + horizon // 60
+    if events > MAX_SIM_EVENTS:
+        raise DomainError(f"--hours {args.hours} needs {events} events, above the limit of {MAX_SIM_EVENTS}")
     config = SimConfig(
-        horizon_s=_number("--hours", args.hours) * SECONDS_PER_HOUR,
+        horizon_s=horizon,
         warmup_s=_number("--warmup", args.warmup) * SECONDS_PER_HOUR,
         service_model=args.service,
         seed=args.seed,

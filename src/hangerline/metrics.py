@@ -56,6 +56,14 @@ def eff_improvement(upph_new, upph_base) -> Fraction:
     return (upph_new - upph_base) / upph_base
 
 
+def _improvements(upph_new, upph_base) -> tuple[Fraction, Fraction]:
+    """The exact UPPH gain, and the gain recomputed from both figures truncated
+    to two decimals (the exact one again when the baseline truncates to 0)."""
+    exact = eff_improvement(upph_new, upph_base)
+    base = truncate_decimals(upph_base, 2)
+    return exact, eff_improvement(truncate_decimals(upph_new, 2), base) if base > 0 else exact
+
+
 @dataclass(frozen=True)
 class ProductivityReport:
     """Productivity snapshot of one allocation.
@@ -125,13 +133,7 @@ def compare(
     _require_staffable(plan, new_allocation)
     before = productivity_report(plan, baseline_allocation)
     after = productivity_report(plan, new_allocation)
-    improvement = eff_improvement(after.upph, before.upph)
-    displayed_base = truncate_decimals(before.upph, 2)
-    displayed_new = truncate_decimals(after.upph, 2)
-    # a baseline too small to survive truncation leaves only the exact view
-    improvement_displayed = (
-        eff_improvement(displayed_new, displayed_base) if displayed_base > 0 else improvement
-    )
+    improvement, improvement_displayed = _improvements(after.upph, before.upph)
     return Comparison(
         before=before,
         after=after,

@@ -6,7 +6,7 @@ only when a value is formatted for display.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from numbers import Rational
@@ -116,12 +116,6 @@ class ProcessPlan:
     def task_ids(self) -> tuple[int, ...]:
         return tuple(t.id for t in self.tasks)
 
-    def task(self, task_id: int) -> Task:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise DomainError(f"plan has no task {task_id}")
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -152,18 +146,6 @@ class Allocation:
     def ones(cls, plan: ProcessPlan) -> "Allocation":
         """The unbalanced line: one station per task."""
         return cls({t.id: 1 for t in plan.tasks})
-
-
-@dataclass(frozen=True)
-class LineStats:
-    """Static summary of a plan under a given allocation."""
-
-    line_cycle_time: Fraction
-    throughput: Fraction  # pieces per plan.period
-    work_content: Fraction
-    parallel_lower_bound: Fraction
-    classic_lower_bound: Fraction
-    bottlenecks: tuple[int, ...] = field(default=())
 
 
 def effective_cycle_time(t, s: int) -> Fraction:
@@ -228,21 +210,6 @@ def work_content(plan: ProcessPlan) -> Fraction:
     return sum((t.cycle_time for t in plan.tasks), Fraction(0))
 
 
-def classic_lower_bound(plan: ProcessPlan, stations: int) -> Fraction:
-    """Cycle-time lower bound for lines where tasks may NOT be duplicated:
-    max(mean station load, largest single task time).
-
-    Caveat: duplicating a task across parallel stations beats the max-task
-    term, so a balanced line with duplication may legitimately run below
-    this bound. Use parallel_lower_bound for the duplication model.
-    """
-    if not isinstance(stations, int) or stations < 1:
-        raise DomainError(f"station count must be an integer >= 1, got {stations!r}")
-    mean_load = work_content(plan) / stations
-    longest = max(t.cycle_time for t in plan.tasks)
-    return max(mean_load, longest)
-
-
 def parallel_lower_bound(plan: ProcessPlan, stations: int) -> Fraction:
     """Cycle-time lower bound when tasks may be duplicated: total work content
     spread perfectly over all stations."""
@@ -251,18 +218,3 @@ def parallel_lower_bound(plan: ProcessPlan, stations: int) -> Fraction:
             f"need at least one station per task ({len(plan.tasks)}), got {stations!r}"
         )
     return work_content(plan) / stations
-
-
-def line_stats(plan: ProcessPlan, allocation: Allocation) -> LineStats:
-    """Bundle the static figures for a plan under an allocation."""
-    _require_coverage(plan, allocation)
-    total = sum(allocation.count(t.id) for t in plan.tasks)
-    ct = line_cycle_time(plan, allocation)
-    return LineStats(
-        line_cycle_time=ct,
-        throughput=throughput(ct, plan.period),
-        work_content=work_content(plan),
-        parallel_lower_bound=parallel_lower_bound(plan, total),
-        classic_lower_bound=classic_lower_bound(plan, total),
-        bottlenecks=bottleneck_tasks(plan, allocation),
-    )

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .errors import DomainError
-from .metrics import productivity_report, truncate_decimals, upph
+from .metrics import _improvements, productivity_report, upph
 from .model import Allocation, ProcessPlan, as_fraction, effective_cycle_time
 
 
@@ -149,14 +149,8 @@ def robust_line_report(
     upph_max = upph(Fraction(throughput_best), workers)
 
     baseline = productivity_report(plan, Allocation.ones(plan)).upph
-    eff_max = (upph_max - baseline) / baseline
-    eff_min = (upph_min - baseline) / baseline
-    base_disp = truncate_decimals(baseline, 2)
-    if base_disp > 0:
-        eff_max_displayed = (truncate_decimals(upph_max, 2) - base_disp) / base_disp
-        eff_min_displayed = (truncate_decimals(upph_min, 2) - base_disp) / base_disp
-    else:
-        eff_max_displayed, eff_min_displayed = eff_max, eff_min
+    eff_max, eff_max_displayed = _improvements(upph_max, baseline)
+    eff_min, eff_min_displayed = _improvements(upph_min, baseline)
 
     alphas = {iv.alpha for iv in intervals.values()}
     return RobustReport(
@@ -194,9 +188,6 @@ def alpha_sweep(
     alphas = [as_fraction(a) for a in alpha_grid]
     if not alphas:
         raise DomainError("alpha grid is empty")
-    for a in alphas:
-        if not 0 < a <= 1:
-            raise DomainError(f"alpha must lie in (0, 1], got {a}")
     return tuple(
         (a, robust_line_report(plan, allocation, effective_intervals(plan, allocation, a, deviations)))
         for a in alphas

@@ -3,10 +3,13 @@
 Each task in plan order is a stage: one FIFO input queue feeding s_i
 identical parallel servers, each of which needs the task's raw time per
 piece (so the stage paces at the effective cycle time t_i / s_i). Raw
-material is always available; the loader hangs a new piece whenever a
-first-stage server is free and the first inter-stage queue has room for
-another piece, which is the one-piece-flow discipline of not piling work
-between neighbouring processes. Downstream of that single admission gate
+material is always available. A free first-stage server hangs a new piece
+while the front WIP, the pieces in first-stage service plus those in transit
+to or queued at the second stage, is below min(s_2, queue capacity) + s_1 - 1:
+a CONWIP release rule (Spearman, Woodruff & Hopp, IJPR 28(5), 1990). With
+s_1 = 1 it is one-piece flow, a piece for each free slot in the first queue;
+a split first stage also keeps a piece on each of its stations instead of
+starting them in lock-step batches. Downstream of that single admission gate
 pieces are pushed: on an imbalanced line WIP accumulates in front of the
 slow stage, which is exactly the behaviour the simulation exists to show.
 
@@ -70,16 +73,14 @@ class SimConfig:
     def __post_init__(self):
         for name in ("horizon_s", "warmup_s", "alpha", "transfer_delay_s", "sample_interval_s"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        model = {"uniform-interval": "uniform"}.get(self.service_model, self.service_model)
-        object.__setattr__(self, "service_model", model)
         if self.horizon_s <= 0:
             raise DomainError(f"horizon must be > 0 seconds, got {self.horizon_s}")
         if self.warmup_s < 0 or self.warmup_s >= self.horizon_s:
             raise DomainError(
                 f"warmup must satisfy 0 <= warmup < horizon, got {self.warmup_s}/{self.horizon_s}"
             )
-        if model not in _SERVICE_MODELS:
-            raise DomainError(f"service_model must be one of {_SERVICE_MODELS}, got {model!r}")
+        if self.service_model not in _SERVICE_MODELS:
+            raise DomainError(f"service_model must be one of {_SERVICE_MODELS}, got {self.service_model!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if self.queue_capacity is not None and (
@@ -208,7 +209,7 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
         if n == 1:
             return True
         limit = s[1] if cap is None else min(s[1], cap)
-        return len(queue[1]) + inbound[1] < limit
+        return len(queue[1]) + inbound[1] + servers_busy[0] < limit + s[0] - 1
 
     def room_in(j):
         return cap is None or len(queue[j]) + inbound[j] < cap
@@ -251,18 +252,19 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
         else:
             blocked[i].append(piece)  # hold the server until a slot opens
 
-    def in_flight_now():
-        return sum(len(q) for q in queue) + sum(servers_busy) + sum(inbound)
-
-    samples: list[WipSample] = []
-
-    def take_sample(t):
-        in_flight = in_flight_now()
+    def conserved_in_flight(t):
+        in_flight = sum(len(q) for q in queue) + sum(servers_busy) + sum(inbound)
         if released != completed_total + in_flight:
             raise InvariantError(
                 f"piece conservation broken at t={Fraction(t, scale)}: released={released}, "
                 f"completed={completed_total}, in_flight={in_flight}"
             )
+        return in_flight
+
+    samples: list[WipSample] = []
+
+    def take_sample(t):
+        in_flight = conserved_in_flight(t)
         samples.append(
             WipSample(
                 time=Fraction(t, scale),
@@ -292,12 +294,7 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
         else:
             take_sample(t)
 
-    in_flight = in_flight_now()
-    if released != completed_total + in_flight:
-        raise InvariantError(
-            f"piece conservation broken at horizon: released={released}, "
-            f"completed={completed_total}, in_flight={in_flight}"
-        )
+    in_flight = conserved_in_flight(horizon)
 
     # float busy time (uniform service) gives a float share, int ticks an exact
     # one. An exact busy time never exceeds the stage's server ticks in the
@@ -322,23 +319,21 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
     )
 
 
-def queue_trend(result: SimResult, task_id: int, after=None) -> tuple[float, float]:
+def queue_trend(result: SimResult, task_id: int) -> tuple[float, float]:
     """Least-squares linear trend of one queue's post-warmup length series.
 
     Returns (slope in pieces per second, R^2). A constant series has R^2 0.
-    `after` overrides the cutoff time (default: the run's warmup).
     """
-    cutoff = result.config.warmup_s if after is None else as_fraction(after)
     if not result.wip_timeseries or task_id not in result.wip_timeseries[0].queue_lengths:
         raise DomainError(f"no inter-stage queue feeds task {task_id}")
     points = [
         (sample.time, sample.queue_lengths[task_id])
         for sample in result.wip_timeseries
-        if sample.time >= cutoff
+        if sample.time >= result.config.warmup_s
     ]
     n = len(points)
     if n < 2:
-        raise DomainError("need at least two samples after the cutoff to fit a trend")
+        raise DomainError("need at least two samples after the warmup to fit a trend")
     # exact least squares over integer times (scaled by their common denominator,
     # as int sums are far cheaper than Fraction sums); s_ab is n * centred sum
     scale = math.lcm(*(x.denominator for x, _ in points))

@@ -222,7 +222,7 @@ def test_criterion_7_simulator_properties(shirt_plan, balanced, devs_plan):
         alloc = hl.greedy_balance(devs_plan).allocation
         uni_cfg = hl.SimConfig(
             horizon_s=Fraction(3600 * 3), warmup_s=Fraction(3600),
-            service_model="uniform-interval", seed=2024,
+            service_model="uniform", seed=2024,
         )
         uni_a = hl.simulate(devs_plan, alloc, uni_cfg)
         uni_b = hl.simulate(devs_plan, alloc, uni_cfg)
@@ -237,7 +237,7 @@ def test_criterion_7_simulator_properties(shirt_plan, balanced, devs_plan):
         for seed in range(10):
             cfg = hl.SimConfig(
                 horizon_s=Fraction(3600 * 3), warmup_s=Fraction(3600),
-                service_model="uniform-interval", seed=seed,
+                service_model="uniform", seed=seed,
             )
             throughputs.append(
                 float(hl.simulate(devs_plan, alloc, cfg).throughput)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hangerline as hl
-from hangerline.cli import MAX_ALPHA_POINTS, MAX_SEATS, main
+import hangerline.cli as cli
+from hangerline.cli import MAX_ALPHA_POINTS, MAX_SEATS, MAX_SIM_EVENTS, main
 
 
 def run(capsys, *argv):
@@ -273,6 +275,20 @@ class TestExitCodes:
         assert out == ""
         assert "--seats" in err and str(MAX_SEATS) in err
 
+    def test_hours_above_the_event_limit_exit_2(self, capsys, tasks_csv_path, monkeypatch):
+        code, out, err = run(
+            capsys, "simulate", "--tasks", tasks_csv_path, "--seats", "32", "--hours", "1e6"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --hours 1e6") and str(MAX_SIM_EVENTS) in err
+        # one hour at the 40 s balanced pace: 90 pieces through 19 stages, 60 samples
+        hour = ["simulate", "--tasks", tasks_csv_path, "--seats", "32", "--hours", "1"]
+        monkeypatch.setattr(cli, "MAX_SIM_EVENTS", 90 * 19 + 60)
+        assert run(capsys, *hour)[0] == 0
+        monkeypatch.setattr(cli, "MAX_SIM_EVENTS", 90 * 19 + 59)
+        assert run(capsys, *hour)[0] == 2
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "balance", "--tasks", str(tmp_path / "ghost.csv"), "--seats", "4"
@@ -310,7 +326,7 @@ def _csv_bytes(draw, header):
 
 @st.composite
 def cli_calls(draw):
-    command = draw(st.sampled_from(["balance", "compare", "robust", "sweep"]))
+    command = draw(st.sampled_from(["balance", "compare", "robust", "sweep", "simulate"]))
     argv = [command, "--seats", str(draw(st.integers(-1, 64)))]
     if command == "balance":
         argv += ["--method", draw(st.sampled_from(["greedy", "optimal"]))]
@@ -323,6 +339,16 @@ def cli_calls(draw):
         # every grid here has at most 20 points
         grids = ["0.05:1:0.05", "0:1:0.5", "1:0:0.1", "0.5:0.5:1", "0:1:0", "0:1", "a:b:c"]
         argv += ["--alphas", draw(st.sampled_from(grids))]
+    if command == "simulate":
+        # every horizon here is at most 0.1 h; most options are valid, so runs happen
+        argv += ["--hours", draw(st.sampled_from(["0.1", "0.05", "0.02", "1e-9", "0", "nan", "x"]))]
+        argv += ["--warmup", draw(st.sampled_from(["0", "0", "0.01", "0.1", "-0.01"]))]
+        argv += ["--service", draw(st.sampled_from(["deterministic", "uniform"]))]
+        argv += ["--seed", draw(st.sampled_from(["0", "7", "-1"]))]
+        cap = draw(st.sampled_from([None, None, "1", "3", "0"]))
+        argv += [] if cap is None else ["--queue-cap", cap]
+        if draw(st.booleans()):
+            argv += ["--verify", "--tol", draw(st.sampled_from(["0.02", "0.02", "0", "x"]))]
     return argv
 
 
@@ -351,6 +377,15 @@ def test_main_keeps_its_exit_code_contract(call, tasks, deviations):
                 code = exc.code
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+def test_all_lists_every_public_name():
+    public = {
+        name for name, value in vars(hl).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(hl.__all__) == public
+    assert len(hl.__all__) == len(public)
 
 
 class TestRoundTripThroughCli:

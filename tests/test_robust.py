@@ -111,6 +111,16 @@ class TestRobustReport:
         assert report.throughput_best == report.throughput_worst == 90
         assert report.upph_min == report.upph_max == Fraction(45, 16)
 
+    def test_tiny_baseline_falls_back_to_exact_view(self):
+        # the one-station baseline runs at 0.004 UPPH, which truncates to zero:
+        # the displayed band is then the exact one, as in compare
+        plan = make_plan([450_000, 1], 3)
+        alloc = hl.Allocation({1: 2, 2: 1})
+        report = hl.robust_line_report(plan, alloc, hl.effective_intervals(plan, alloc, 1))
+        assert hl.truncate_decimals(report.upph_max) > 0
+        assert report.eff_max_displayed == report.eff_max
+        assert report.eff_min_displayed == report.eff_min
+
 
 class TestAlphaSweep:
     def test_grid_of_three(self, devs_plan):
@@ -153,7 +163,7 @@ class TestAlphaSweep:
 
     def test_out_of_range_alpha_rejected(self, devs_plan):
         alloc = hl.greedy_balance(devs_plan).allocation
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\], got 2$"):
             hl.alpha_sweep(devs_plan, alloc, None, [Fraction(2)])
 
 
@@ -179,10 +189,10 @@ def test_line_bounds_bracket_the_nominal_ct(times, extra, data):
     plan = make_plan(times, len(times) + extra)
     alloc = hl.greedy_balance(plan).allocation
     devs = {}
-    for tid in plan.task_ids:
-        eff = hl.effective_cycle_time(plan.task(tid).cycle_time, alloc.count(tid))
+    for task in plan.tasks:
+        eff = hl.effective_cycle_time(task.cycle_time, alloc.count(task.id))
         # keep the lower edge strictly positive
-        devs[tid] = (
+        devs[task.id] = (
             data.draw(st.fractions(min_value=Fraction(0), max_value=Fraction(3))),
             data.draw(
                 st.fractions(min_value=Fraction(0), max_value=eff * Fraction(9, 10))
