@@ -23,7 +23,6 @@ from .model import (
     Allocation,
     ProcessPlan,
     as_fraction,
-    effective_cycle_time,
     line_cycle_time,
     work_content,
 )
@@ -158,9 +157,7 @@ def exhaustive_balance(plan: ProcessPlan) -> BalanceResult:
     best_vector = None
     for extras in _vectors(plan.seat_budget - n, n):
         vector = tuple(1 + e for e in extras)
-        ct = max(
-            effective_cycle_time(t.cycle_time, s) for t, s in zip(plan.tasks, vector)
-        )
+        ct = max(t.cycle_time / s for t, s in zip(plan.tasks, vector))
         key = (ct, sum(vector), vector)
         if best_key is None or key < best_key:
             best_key, best_vector = key, vector

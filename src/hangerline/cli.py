@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--service", choices=("deterministic", "uniform"), default="deterministic")
     p.add_argument("--queue-cap", type=int, default=None, help="per-queue piece limit")
     p.add_argument("--verify", action="store_true", help="check the run against the static figures")
-    p.add_argument("--tol", default="0.02", help="relative throughput tolerance for --verify")
+    p.add_argument("--tol", default="0.02", help="relative tolerance for --verify")
     p.set_defaults(func=cmd_simulate)
     return parser
 

@@ -16,7 +16,6 @@ import json
 import math
 import types
 import typing
-from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 from .balancer import BalanceResult
 from .errors import DomainError, ParseError
 from .metrics import Comparison, ProductivityReport
-from .model import Allocation, Task, as_fraction, throughput
+from .model import Allocation, Task, _effective_times, as_fraction, throughput
 from .robust import RobustReport
 from .simulator import SimResult
 
@@ -35,45 +34,44 @@ _DEV_COLUMNS = ("task_id", "dev_plus_sec", "dev_minus_sec")
 
 # ---------------------------------------------------------------- formatting
 
-def _decimal(x: Fraction) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = 50
-        return Decimal(x.numerator) / Decimal(x.denominator)
-
-
-def _to_decimal(x, places: int, rounding: str) -> Decimal:
-    return _decimal(as_fraction(x)).quantize(Decimal(1).scaleb(-places), rounding=rounding)
+def _fixed(x: Fraction, places: int, cut: bool = False) -> str:
+    """x with `places` decimals, in exact integer arithmetic: rounded half away
+    from zero, or cut toward zero. The sign stays even when every digit is 0
+    ("-0.00"), as a Decimal quantize would print it."""
+    n, d = abs(x.numerator) * 10**places, x.denominator
+    digits = str(n // d if cut else (2 * n + d) // (2 * d)).rjust(places + 1, "0")
+    sign = "-" if x.numerator < 0 else ""
+    return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else sign + digits
 
 
 def format_seconds(x) -> str:
     """Cycle time for display: one decimal, half up, bare integers kept bare."""
-    s = str(_to_decimal(x, 1, ROUND_HALF_UP))
+    s = _fixed(as_fraction(x), 1)
     return s[:-2] if s.endswith(".0") else s
 
 
 def format_upph(x) -> str:
     """UPPH for display: two decimals, truncated (printed-figure convention)."""
-    return str(_to_decimal(x, 2, ROUND_DOWN))
+    return _fixed(as_fraction(x), 2, cut=True)
 
 
 def format_percent(x) -> str:
     """A fraction as a percentage with two decimals, half up."""
-    return f"{_to_decimal(as_fraction(x) * 100, 2, ROUND_HALF_UP)}%"
+    return f"{_fixed(as_fraction(x) * 100, 2)}%"
 
 
 def format_number(x) -> str:
     """Exact decimal when the value terminates, else four decimals."""
     x = as_fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
     d = x.denominator
-    while d % 2 == 0:
-        d //= 2
-    while d % 5 == 0:
-        d //= 5
-    if d == 1:
-        return str(_decimal(x))
-    return str(_to_decimal(x, 4, ROUND_HALF_UP))
+    # 10^p is a multiple of d = 2^a * 5^b from p = max(a, b) on, which is below
+    # the bit length of d; for any other d no power of 10 is
+    if pow(10, d.bit_length(), d):
+        return _fixed(x, 4)
+    places, scale = 0, 1
+    while scale % d:
+        places, scale = places + 1, scale * 10
+    return _fixed(x, places)
 
 
 # ------------------------------------------------------------------- parsing
@@ -351,18 +349,17 @@ def _render_columns(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str
 
 
 def _balance_table(result: BalanceResult) -> str:
-    rows = []
-    for t in result.plan.tasks:
-        s = result.allocation.count(t.id)
-        rows.append(
-            (
-                str(t.id),
-                t.description,
-                format_seconds(t.cycle_time),
-                str(s),
-                format_seconds(t.cycle_time / s),
-            )
+    times = _effective_times(result.plan, result.allocation)
+    rows = [
+        (
+            str(t.id),
+            t.description,
+            format_seconds(t.cycle_time),
+            str(result.allocation.stations[t.id]),
+            format_seconds(times[t.id]),
         )
+        for t in result.plan.tasks
+    ]
     table = _render_columns(
         ("task", "description", "cycle_time_sec", "stations", "effective_ct_sec"), rows
     )

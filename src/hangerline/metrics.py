@@ -14,10 +14,9 @@ from .errors import DomainError
 from .model import (
     Allocation,
     ProcessPlan,
+    _effective_times,
     _require_staffable,
     as_fraction,
-    effective_cycle_time,
-    line_cycle_time,
     throughput,
 )
 
@@ -104,13 +103,11 @@ def productivity_report(plan: ProcessPlan, allocation: Allocation) -> Productivi
 
     Output is per plan.period (an hour by default).
     """
-    ct = line_cycle_time(plan, allocation)
+    times = _effective_times(plan, allocation)
+    ct = max(times.values())
     output = throughput(ct, plan.period)
-    workers = sum(allocation.count(t.id) for t in plan.tasks)
-    utilization = {
-        t.id: effective_cycle_time(t.cycle_time, allocation.count(t.id)) / ct
-        for t in plan.tasks
-    }
+    workers = allocation.total
+    utilization = {task_id: time / ct for task_id, time in times.items()}
     idle = {task_id: 1 - u for task_id, u in utilization.items()}
     return ProductivityReport(
         line_cycle_time=ct,

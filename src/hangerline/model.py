@@ -148,23 +148,14 @@ class Allocation:
         return cls({t.id: 1 for t in plan.tasks})
 
 
-def effective_cycle_time(t, s: int) -> Fraction:
-    """Seconds per piece of a task duplicated across s parallel stations: t / s."""
-    t = as_fraction(t)
-    if t <= 0:
-        raise DomainError(f"cycle time must be > 0, got {t}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise DomainError(f"station count must be an integer >= 1, got {s!r}")
-    return t / s
-
-
 def _require_coverage(plan: ProcessPlan, allocation: Allocation) -> None:
     missing = [t.id for t in plan.tasks if t.id not in allocation.stations]
     if missing:
         raise DomainError(f"allocation missing tasks: {missing}")
-    ids = set(plan.task_ids)
-    foreign = [i for i in allocation.stations if i not in ids]
-    if foreign:
+    # every plan id is present and the ids are unique, so any extra entry is foreign
+    if len(allocation.stations) > len(plan.tasks):
+        ids = set(plan.task_ids)
+        foreign = [i for i in allocation.stations if i not in ids]
         raise DomainError(f"allocation has tasks the plan does not: {foreign}")
 
 
@@ -178,20 +169,25 @@ def _require_staffable(plan: ProcessPlan, allocation: Allocation) -> None:
         )
 
 
+def _effective_times(plan: ProcessPlan, allocation: Allocation) -> dict[int, Fraction]:
+    """Each task's effective cycle time t_i / s_i, keyed by id in plan order.
+    Outside the solvers, the one place a task time is divided by its station
+    count."""
+    _require_coverage(plan, allocation)
+    stations = allocation.stations
+    return {t.id: t.cycle_time / stations[t.id] for t in plan.tasks}
+
+
 def line_cycle_time(plan: ProcessPlan, allocation: Allocation) -> Fraction:
     """The line's pace: the maximum effective cycle time over all tasks."""
-    _require_coverage(plan, allocation)
-    return max(effective_cycle_time(t.cycle_time, allocation.count(t.id)) for t in plan.tasks)
+    return max(_effective_times(plan, allocation).values())
 
 
 def bottleneck_tasks(plan: ProcessPlan, allocation: Allocation) -> tuple[int, ...]:
     """Ids of the tasks whose effective cycle time equals the line cycle time."""
-    ct = line_cycle_time(plan, allocation)
-    return tuple(
-        t.id
-        for t in plan.tasks
-        if effective_cycle_time(t.cycle_time, allocation.count(t.id)) == ct
-    )
+    times = _effective_times(plan, allocation)
+    ct = max(times.values())
+    return tuple(task_id for task_id, time in times.items() if time == ct)
 
 
 def throughput(ct, period=SECONDS_PER_HOUR) -> Fraction:

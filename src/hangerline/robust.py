@@ -14,7 +14,7 @@ from math import ceil, floor
 
 from .errors import DomainError
 from .metrics import _improvements, productivity_report, upph
-from .model import Allocation, ProcessPlan, as_fraction, effective_cycle_time
+from .model import Allocation, ProcessPlan, _effective_times, _require_coverage, as_fraction
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,20 @@ class CtInterval:
             raise DomainError(f"lower cycle-time bound must stay positive, got {self.lo}")
 
 
+def _alpha(alpha) -> Fraction:
+    """An uncertainty level as a Fraction, checked to lie in (0, 1]."""
+    alpha = as_fraction(alpha)
+    if not 0 < alpha <= 1:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    return alpha
+
+
 def ct_interval(nominal, d_plus, d_minus, alpha) -> CtInterval:
     """Widen a nominal cycle time by alpha-scaled deviations."""
     nominal = as_fraction(nominal)
     d_plus = as_fraction(d_plus)
     d_minus = as_fraction(d_minus)
-    alpha = as_fraction(alpha)
-    if not 0 < alpha <= 1:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    alpha = _alpha(alpha)
     if d_plus < 0 or d_minus < 0:
         raise DomainError("deviations must be >= 0")
     lo = nominal - alpha * d_minus
@@ -79,8 +85,10 @@ def effective_intervals(
     time: a task duplicated across three stations still drifts by the same
     few seconds per piece at each station. The optional `deviations` map
     (task id -> (d_plus, d_minus)) overrides the deviations stored on the
-    tasks themselves.
+    tasks themselves. An interval that cannot be formed names its task.
     """
+    times = _effective_times(plan, allocation)
+    alpha = _alpha(alpha)
     out: dict[int, CtInterval] = {}
     for t in plan.tasks:
         if deviations is not None:
@@ -90,8 +98,10 @@ def effective_intervals(
                 raise DomainError(f"no deviation entry for task {t.id}") from None
         else:
             d_plus, d_minus = t.dev_plus, t.dev_minus
-        nominal = effective_cycle_time(t.cycle_time, allocation.count(t.id))
-        out[t.id] = ct_interval(nominal, d_plus, d_minus, alpha)
+        try:
+            out[t.id] = ct_interval(times[t.id], d_plus, d_minus, alpha)
+        except DomainError as exc:
+            raise DomainError(f"task {t.id}: {exc}") from None
     return out
 
 
@@ -132,6 +142,7 @@ def robust_line_report(
     intervals: dict[int, CtInterval],
 ) -> RobustReport:
     """Aggregate per-task intervals into line cycle-time and UPPH bounds."""
+    _require_coverage(plan, allocation)
     missing = [t.id for t in plan.tasks if t.id not in intervals]
     if missing:
         raise DomainError(f"intervals missing tasks: {missing}")
@@ -140,7 +151,7 @@ def robust_line_report(
     best = max(intervals[t.id].lo for t in plan.tasks)
     worst = max(intervals[t.id].hi for t in plan.tasks)
 
-    workers = sum(allocation.count(t.id) for t in plan.tasks)
+    workers = allocation.total
     throughput_regular = plan.period / regular
     throughput_worst = floor(plan.period / worst)
     throughput_best = ceil(plan.period / best)

@@ -13,6 +13,10 @@ starting them in lock-step batches. Downstream of that single admission gate
 pieces are pushed: on an imbalanced line WIP accumulates in front of the
 slow stage, which is exactly the behaviour the simulation exists to show.
 
+Under uniform service a server's time is drawn from s_i times the task's
+effective interval at config.alpha (robust.effective_intervals): the
+deviations describe the stage's effective time.
+
 With a queue_capacity set, a finished piece that finds the next queue full
 holds its server (blocking after service) until a slot opens.
 
@@ -50,6 +54,7 @@ from .model import (
     bottleneck_tasks,
     line_cycle_time,
 )
+from .robust import _alpha, effective_intervals
 
 _SERVICE_MODELS = ("deterministic", "uniform")
 
@@ -87,8 +92,7 @@ class SimConfig:
             type(self.queue_capacity) is not int or self.queue_capacity < 1
         ):
             raise DomainError(f"queue_capacity must be >= 1 or None, got {self.queue_capacity!r}")
-        if not 0 < self.alpha <= 1:
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
+        _alpha(self.alpha)
         if self.transfer_delay_s < 0:
             raise DomainError("transfer delay must be >= 0")
         if self.sample_interval_s <= 0:
@@ -129,34 +133,16 @@ class SimResult:
     wip_timeseries: tuple[WipSample, ...]
 
 
-def _raw_service_bounds(plan: ProcessPlan, allocation: Allocation, alpha: Fraction):
-    """Per-stage raw service-time interval for the uniform model.
-
-    Deviations in the task table describe the stage's effective cycle time,
-    so a stage with s servers maps [eff - a*d_minus, eff + a*d_plus] back to
-    raw per-server time by scaling with s.
-    """
-    bounds = []
-    for t in plan.tasks:
-        s = allocation.count(t.id)
-        lo = t.cycle_time - s * alpha * t.dev_minus
-        hi = t.cycle_time + s * alpha * t.dev_plus
-        if lo <= 0:
-            raise DomainError(
-                f"task {t.id}: alpha-scaled deviation leaves a nonpositive "
-                f"service time ({lo}) across {s} stations"
-            )
-        bounds.append((lo, hi))
-    return bounds
-
-
 def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> SimResult:
     """Run the line and collect throughput, WIP trajectories and utilization."""
     _require_staffable(plan, allocation)
     n = len(plan.tasks)
     s = [allocation.count(t.id) for t in plan.tasks]
     uniform = config.service_model == "uniform"
-    bounds = _raw_service_bounds(plan, allocation, config.alpha) if uniform else None
+    if uniform:
+        # a stage's deviations widen its effective time, so a server's raw band is s_i times it
+        intervals = effective_intervals(plan, allocation, config.alpha).values()
+        bounds = [(float(k * iv.lo), float(k * iv.hi)) for k, iv in zip(s, intervals)]
     rng = random.Random(config.seed)
 
     # the clock counts ticks of 1/scale s, so every exact time is an int
@@ -190,8 +176,7 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
 
     def service_time(i):
         if uniform:
-            lo, hi = bounds[i]
-            return rng.uniform(float(lo), float(hi)) * scale
+            return rng.uniform(*bounds[i]) * scale
         return raw_time[i]
 
     def clipped_span(t0, t1):
@@ -369,7 +354,10 @@ def verify_against_static(
     """Check a deterministic run against the static arithmetic.
 
     Throughput must land within tolerance of period/line CT (per hour), and
-    no stage may beat the bottleneck's utilization.
+    the bottleneck's utilization within tolerance of the busiest other stage
+    (both relative). The second check does not ask for strict dominance: a
+    never-blocked first stage reads exactly 1 while a bottleneck that was
+    still filling when the warmup ended reads a hair below it.
     """
     tolerance = as_fraction(tolerance)
     if sim_result.plan != plan or sim_result.allocation != allocation:
@@ -393,7 +381,7 @@ def verify_against_static(
     necks = set(bottleneck_tasks(plan, allocation))
     neck_util = min(sim_result.utilization[i] for i in necks)
     others = [u for i, u in sim_result.utilization.items() if i not in necks]
-    util_ok = not others or neck_util >= max(others)
+    util_ok = not others or neck_util >= (1 - tolerance) * max(others)
     util_check = VerifyCheck(
         name="bottleneck_dominates_utilization",
         passed=util_ok,

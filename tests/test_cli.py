@@ -223,6 +223,14 @@ class TestSimulate:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["balance", "compare"])
+    def test_huge_cycle_time_reports_exit_0(self, capsys, tmp_path, command):
+        table = tmp_path / "line.csv"
+        table.write_text("task_id,description,cycle_time_sec\n1,a,1e27\n2,b,30\n")
+        code, out, err = run(capsys, command, "--tasks", str(table), "--seats", "4")
+        assert (code, err) == (0, "")
+        assert "333333333333333333333333333.3 sec/pc" in out  # 1e27 over three stations
+
     def test_malformed_csv_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("task_id,description,cycle_time_sec\n1,a,fast\n")
@@ -299,11 +307,19 @@ class TestExitCodes:
 _TASKS_FULL = "task_id,description,cycle_time_sec,dev_plus_sec,dev_minus_sec"
 _BAD_CELLS = ["", "0", "-1", "1e999", "nan", "-inf", "1/0", "\u00b2", " 7 ", "x", "1,2", "\n"]
 _small = st.decimals(0, 4, places=2).map(str)
+# valid cells far outside the usual range: reports print up to 61 integer digits or 60 decimals
+_EXTREME_TIMES = [
+    "1e27", "1e60", "1e-60", "1234567890123456789012345678901234567890123456789012345.5"
+]
 _COLUMNS = {
     "description": st.text(
         st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'), max_size=6
     ),
-    "cycle_time_sec": st.one_of(st.integers(5, 120).map(str), st.decimals(5, 120, places=1).map(str)),
+    "cycle_time_sec": st.one_of(
+        st.integers(5, 120).map(str),
+        st.decimals(5, 120, places=1).map(str),
+        st.sampled_from(_EXTREME_TIMES),
+    ),
     "dev_plus_sec": _small,
     "dev_minus_sec": _small,
 }

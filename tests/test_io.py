@@ -117,6 +117,14 @@ class TestParseTasks:
     def test_load_round_trip_is_exact(self, main_tasks):
         assert hl.parse_tasks(hl.emit_tasks(main_tasks)) == main_tasks
 
+    def test_round_trip_keeps_a_56_digit_cycle_time(self):
+        text = (
+            "task_id,description,cycle_time_sec\n"
+            "1,a,1234567890123456789012345678901234567890123456789012345.5\n"
+        )
+        tasks = hl.parse_tasks(text)
+        assert hl.parse_tasks(hl.emit_tasks(tasks)) == tasks
+
     def test_emitted_header_is_complete(self, main_tasks):
         first = hl.emit_tasks(main_tasks).splitlines()[0]
         assert first == "task_id,description,cycle_time_sec,dev_plus_sec,dev_minus_sec"
@@ -165,6 +173,24 @@ class TestFormatting:
         assert hl.format_number(Fraction(3600)) == "3600"
         assert hl.format_number(Fraction(23, 10)) == "2.3"
         assert hl.format_number(Fraction(110, 3)) == "36.6667"
+
+    def test_huge_values_keep_every_integer_digit(self):
+        # these overflowed a 28-digit Decimal context when quantized
+        assert hl.format_seconds(Fraction(10**28, 3)) == "3" * 28 + ".3"
+        assert hl.format_upph(Fraction(10**28, 3)) == "3" * 28 + ".33"
+        assert hl.format_percent(Fraction(10**25, 3)) == "3" * 27 + ".33%"
+        assert hl.format_number(Fraction(10**25, 3)) == "3" * 25 + ".3333"
+
+    def test_terminating_values_print_in_full(self):
+        long = "1234567890123456789012345678901234567890123456789012345.5"
+        assert hl.format_number(Fraction(long)) == long
+        assert hl.format_number(Fraction(1, 10**7)) == "0.0000001"
+        assert hl.format_number(Fraction(-1, 8)) == "-0.125"
+
+    def test_negative_values_keep_their_sign(self):
+        assert hl.format_seconds(Fraction(-3, 20)) == "-0.2"
+        assert hl.format_upph(Fraction(-1, 1000)) == "-0.00"
+        assert hl.format_percent(Fraction(-1, 3)) == "-33.33%"
 
 
 class TestReportRoundTrips:

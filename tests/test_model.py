@@ -135,10 +135,6 @@ class TestAllocation:
 
 
 class TestCycleTimeAlgebra:
-    def test_effective_cycle_time(self):
-        assert hl.effective_cycle_time(Fraction(120), 3) == Fraction(40)
-        assert hl.effective_cycle_time(Fraction(110), 3) == Fraction(110, 3)
-
     def test_line_cycle_time_is_max_effective(self):
         plan = make_plan([30, 120, 45], 5)
         alloc = hl.Allocation({1: 1, 2: 3, 3: 1})
@@ -191,7 +187,7 @@ def test_line_ct_never_below_parallel_bound(times, extra):
     s=st.integers(min_value=1, max_value=32),
 )
 def test_effective_ct_scaling(t, s):
-    eff = hl.effective_cycle_time(Fraction(t), s)
+    eff = hl.line_cycle_time(make_plan([t], s), hl.Allocation({1: s}))
     assert eff * s == Fraction(t)
     assert eff <= Fraction(t)
 

@@ -66,6 +66,24 @@ class TestEffectiveIntervals:
                 shirt_plan, balanced.allocation, 1, {19: (Fraction(2), Fraction(1))}
             )
 
+    def test_foreign_task_ids_rejected(self):
+        plan = make_plan([30, 60], 3)
+        foreign = hl.Allocation({1: 1, 2: 2, 99: 5})
+        with pytest.raises(DomainError, match=r"\[99\]"):
+            hl.effective_intervals(plan, foreign)
+        intervals = hl.effective_intervals(plan, hl.Allocation({1: 1, 2: 2}))
+        with pytest.raises(DomainError, match=r"\[99\]"):
+            hl.robust_line_report(plan, foreign, intervals)
+
+    def test_swallowed_deviation_names_its_task(self):
+        # task 2 runs at 60/2 = 30 s, which a 30 s downward deviation swallows
+        plan = make_plan([30, 60], 3)
+        alloc = hl.Allocation({1: 1, 2: 2})
+        devs = {1: (Fraction(0), Fraction(29)), 2: (Fraction(0), Fraction(30))}
+        with pytest.raises(DomainError, match=r"^task 2: alpha\*d_minus = 30 swallows"):
+            hl.effective_intervals(plan, alloc, 1, devs)
+        assert hl.effective_intervals(plan, alloc, Fraction(1, 2), devs)[2].lo == 15
+
 
 @pytest.fixture(scope="module")
 def report(shirt_plan, balanced, deviations):
@@ -190,7 +208,7 @@ def test_line_bounds_bracket_the_nominal_ct(times, extra, data):
     alloc = hl.greedy_balance(plan).allocation
     devs = {}
     for task in plan.tasks:
-        eff = hl.effective_cycle_time(task.cycle_time, alloc.count(task.id))
+        eff = task.cycle_time / alloc.count(task.id)
         # keep the lower edge strictly positive
         devs[task.id] = (
             data.draw(st.fractions(min_value=Fraction(0), max_value=Fraction(3))),

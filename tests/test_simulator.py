@@ -1,4 +1,5 @@
 """Discrete-event simulation: throughput, WIP behavior, verification checks."""
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -258,7 +259,7 @@ class TestConfigValidation:
             seat_budget=2,
         )
         cfg = SimConfig(horizon_s=hours(1), service_model="uniform")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^task 1: alpha\*d_minus = 6 swallows"):
             hl.simulate(plan, hl.Allocation({1: 2}), cfg)
 
     def test_allocation_must_cover_the_plan(self, shirt_plan):
@@ -325,6 +326,29 @@ class TestVerifyAgainstStatic:
         run = hl.simulate(plan, alloc, SimConfig(horizon_s=hours(1)))
         verdict = hl.verify_against_static(run, plan, alloc, tolerance=Fraction(2, 100))
         assert verdict.passed
+
+    def test_bottleneck_a_hair_below_a_saturated_stage_passes(self):
+        # the warmup (the 113 s work content) ends while the 5-station
+        # bottleneck is still filling; the never-blocked first stage reads 1
+        plan = make_plan([33, 16, 64], 10)
+        alloc = hl.greedy_balance(plan).allocation
+        assert alloc.stations == {1: 3, 2: 2, 3: 5}
+        config = SimConfig(horizon_s=hours(1), warmup_s=hours(Fraction(314, 10_000)))
+        run = hl.simulate(plan, alloc, config)
+        assert run.utilization[1] == 1 > run.utilization[3]
+        verdict = hl.verify_against_static(run, plan, alloc)
+        assert verdict.passed
+        assert verdict.checks[1].detail == "bottleneck utilization 0.9998 vs best other 1.0000"
+
+    def test_bottleneck_well_below_another_stage_fails(self):
+        plan = make_plan([33, 16, 64], 10)
+        alloc = hl.greedy_balance(plan).allocation
+        run = hl.simulate(plan, alloc, SimConfig(horizon_s=hours(1), warmup_s=hours(Fraction(1, 10))))
+        utilization = {1: Fraction(1), 2: Fraction(1, 2), 3: Fraction(9, 10)}
+        verdict = hl.verify_against_static(dataclasses.replace(run, utilization=utilization), plan, alloc)
+        failed = [c.name for c in verdict.checks if not c.passed]
+        assert failed == ["bottleneck_dominates_utilization"]
+        assert verdict.checks[1].detail == "bottleneck utilization 0.9000 vs best other 1.0000"
 
 
 def odd_plan():
