@@ -22,7 +22,7 @@ from .io import (
 from .metrics import compare
 from .model import SECONDS_PER_HOUR, Allocation, ProcessPlan, as_fraction
 from .robust import alpha_sweep, effective_intervals, robust_line_report
-from .simulator import SimConfig, simulate, verify_against_static
+from .simulator import SimConfig, _tolerance, simulate, verify_against_static
 
 # the largest --alphas grid sweep accepts; each point is a full robust report
 MAX_ALPHA_POINTS = 10_000
@@ -40,9 +40,9 @@ def _plan_from_args(args) -> ProcessPlan:
     return ProcessPlan(tasks=tasks, seat_budget=args.seats)
 
 
-def _number(flag: str, raw: str) -> Fraction:
+def _number(flag: str, raw: str, parse=as_fraction) -> Fraction:
     try:
-        return as_fraction(raw)
+        return parse(raw)
     except DomainError as exc:
         raise DomainError(f"{flag}: {exc}") from None
 
@@ -105,6 +105,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     plan = _plan_from_args(args)
+    # checked before the run, so a bad --tol costs no simulation
+    tolerance = _number("--tol", args.tol, _tolerance) if args.verify else None
     balanced = greedy_balance(plan)
     allocation = balanced.allocation
     horizon = _number("--hours", args.hours) * SECONDS_PER_HOUR
@@ -122,7 +124,7 @@ def cmd_simulate(args) -> int:
     result = simulate(plan, allocation, config)
     sys.stdout.write(emit_report(result, "table"))
     if args.verify:
-        verdict = verify_against_static(result, plan, allocation, _number("--tol", args.tol))
+        verdict = verify_against_static(result, plan, allocation, tolerance)
         for check in verdict.checks:
             status = "ok" if check.passed else "FAIL"
             sys.stdout.write(f"verify {check.name}: {status} ({check.detail})\n")

@@ -22,9 +22,9 @@ from pathlib import Path
 
 from .balancer import BalanceResult
 from .errors import DomainError, ParseError
-from .metrics import Comparison, ProductivityReport
+from .metrics import Comparison, ProductivityReport, _prints_as_zero
 from .model import Allocation, Task, _effective_times, as_fraction, throughput
-from .robust import RobustReport
+from .robust import RobustReport, _baseline_upph
 from .simulator import SimResult
 
 _TASK_COLUMNS = ("task_id", "description", "cycle_time_sec", "dev_plus_sec", "dev_minus_sec")
@@ -381,11 +381,16 @@ def _productivity_line(label: str, r: ProductivityReport) -> str:
 
 
 def _comparison_table(c: Comparison) -> str:
+    source = (
+        "exact again, since the two-decimal printed figures start from zero"
+        if _prints_as_zero(c.before.upph)
+        else "from the two-decimal printed figures"
+    )
     return (
         _productivity_line("before", c.before)
         + _productivity_line("after", c.after)
         + f"UPPH improvement: {format_percent(c.improvement)} at full precision; "
-        f"{format_percent(c.improvement_displayed)} from the two-decimal printed figures "
+        f"{format_percent(c.improvement_displayed)} {source} "
         f"({format_upph(c.before.upph)} -> {format_upph(c.after.upph)})\n"
         f"output ratio: {format_number(c.output_ratio)}x\n"
     )
@@ -408,6 +413,11 @@ def _robust_table(r: RobustReport) -> str:
         ("task", "description", "effective_ct", "ct_minus_dev", "ct_plus_dev"), rows
     )
     alpha = "per-interval" if r.alpha is None else format_number(r.alpha)
+    source = (
+        "exact again, since the two-decimal printed baseline is 0.00"
+        if _prints_as_zero(_baseline_upph(r.plan))
+        else "from two-decimal printed figures"
+    )
     lines = [
         table,
         f"alpha: {alpha}",
@@ -420,8 +430,7 @@ def _robust_table(r: RobustReport) -> str:
         f"max {format_upph(r.upph_max)} ({format_number(r.upph_max)} exact)",
         f"improvement over one-station baseline: "
         f"{format_percent(r.eff_min)}..{format_percent(r.eff_max)} exact; "
-        f"{format_percent(r.eff_min_displayed)}..{format_percent(r.eff_max_displayed)} "
-        f"from two-decimal printed figures",
+        f"{format_percent(r.eff_min_displayed)}..{format_percent(r.eff_max_displayed)} {source}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -486,8 +495,9 @@ def emit_plot_data(sweep) -> str:
         raise DomainError("sweep is empty")
     rows = []
     for alpha, report in sweep:
+        alpha = format_number(alpha)
         ivs = report.intervals
         series = [(t.id, ivs[t.id].nominal, ivs[t.id].lo, ivs[t.id].hi) for t in report.plan.tasks]
         series.append(("LINE", report.line_ct_regular, report.line_ct_best, report.line_ct_worst))
-        rows += [(label, *map(format_number, (alpha, *cts))) for label, *cts in series]
+        rows += [(label, alpha, *map(format_number, cts)) for label, *cts in series]
     return _csv_text(("task_id", "alpha", "regular_ct", "best_ct", "worst_ct"), rows)

@@ -55,12 +55,19 @@ def eff_improvement(upph_new, upph_base) -> Fraction:
     return (upph_new - upph_base) / upph_base
 
 
+def _prints_as_zero(upph_base) -> bool:
+    """Whether a baseline UPPH truncates to 0.00, leaving the printed figures
+    no ratio to recompute a gain from."""
+    return truncate_decimals(upph_base, 2) == 0
+
+
 def _improvements(upph_new, upph_base) -> tuple[Fraction, Fraction]:
     """The exact UPPH gain, and the gain recomputed from both figures truncated
-    to two decimals (the exact one again when the baseline truncates to 0)."""
+    to two decimals (the exact one again when the baseline prints as 0.00)."""
     exact = eff_improvement(upph_new, upph_base)
-    base = truncate_decimals(upph_base, 2)
-    return exact, eff_improvement(truncate_decimals(upph_new, 2), base) if base > 0 else exact
+    if _prints_as_zero(upph_base):
+        return exact, exact
+    return exact, eff_improvement(truncate_decimals(upph_new, 2), truncate_decimals(upph_base, 2))
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,11 @@ def as_fraction(value) -> Fraction:
     Strings must be plain decimal literals ("36.7"); floats are taken at their
     shortest decimal representation, which is what a user typing 36.7 means.
     Decimals, strings and floats must keep their exponent within
-    +/-MAX_DECIMAL_EXPONENT (1e100 and 1e-100 pass, 1e101 does not).
+    +/-MAX_DECIMAL_EXPONENT (1e100 and 1e-100 pass, 1e101 does not). A
+    Fraction is returned as it is.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise DomainError(f"expected a number, got {value!r}")
     if isinstance(value, Rational):
@@ -172,15 +175,28 @@ def _require_staffable(plan: ProcessPlan, allocation: Allocation) -> None:
 def _effective_times(plan: ProcessPlan, allocation: Allocation) -> dict[int, Fraction]:
     """Each task's effective cycle time t_i / s_i, keyed by id in plan order.
     Outside the solvers, the one place a task time is divided by its station
-    count."""
+    count into a Fraction (line_cycle_time compares the same quotients as
+    integer pairs)."""
     _require_coverage(plan, allocation)
     stations = allocation.stations
     return {t.id: t.cycle_time / stations[t.id] for t in plan.tasks}
 
 
 def line_cycle_time(plan: ProcessPlan, allocation: Allocation) -> Fraction:
-    """The line's pace: the maximum effective cycle time over all tasks."""
-    return max(_effective_times(plan, allocation).values())
+    """The line's pace: the maximum effective cycle time over all tasks.
+
+    t_i / s_i is compared as the integer pair (numerator, denominator * s_i)
+    by cross multiplication, which is exact and builds one Fraction in all.
+    """
+    _require_coverage(plan, allocation)
+    stations = allocation.stations
+    top_n, top_d = 0, 1
+    for t in plan.tasks:
+        ct = t.cycle_time
+        n, d = ct.numerator, ct.denominator * stations[t.id]
+        if n * top_d > top_n * d:
+            top_n, top_d = n, d
+    return Fraction(top_n, top_d)
 
 
 def bottleneck_tasks(plan: ProcessPlan, allocation: Allocation) -> tuple[int, ...]:

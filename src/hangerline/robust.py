@@ -87,8 +87,14 @@ def effective_intervals(
     (task id -> (d_plus, d_minus)) overrides the deviations stored on the
     tasks themselves. An interval that cannot be formed names its task.
     """
-    times = _effective_times(plan, allocation)
-    alpha = _alpha(alpha)
+    return _intervals(plan, _effective_times(plan, allocation), _alpha(alpha), deviations)
+
+
+def _intervals(
+    plan: ProcessPlan, times: dict[int, Fraction], alpha: Fraction, deviations: Deviations | None
+) -> dict[int, CtInterval]:
+    """effective_intervals on effective times already computed, at a checked
+    alpha."""
     out: dict[int, CtInterval] = {}
     for t in plan.tasks:
         if deviations is not None:
@@ -146,7 +152,21 @@ def robust_line_report(
     missing = [t.id for t in plan.tasks if t.id not in intervals]
     if missing:
         raise DomainError(f"intervals missing tasks: {missing}")
+    return _line_report(plan, allocation, intervals, _baseline_upph(plan))
 
+
+def _baseline_upph(plan: ProcessPlan) -> Fraction:
+    """UPPH of the unbalanced one-station-per-task line."""
+    return productivity_report(plan, Allocation.ones(plan)).upph
+
+
+def _line_report(
+    plan: ProcessPlan,
+    allocation: Allocation,
+    intervals: dict[int, CtInterval],
+    baseline: Fraction,
+) -> RobustReport:
+    """robust_line_report on checked intervals, against a given baseline UPPH."""
     regular = max(intervals[t.id].nominal for t in plan.tasks)
     best = max(intervals[t.id].lo for t in plan.tasks)
     worst = max(intervals[t.id].hi for t in plan.tasks)
@@ -159,16 +179,16 @@ def robust_line_report(
     upph_min = upph(Fraction(throughput_worst), workers)
     upph_max = upph(Fraction(throughput_best), workers)
 
-    baseline = productivity_report(plan, Allocation.ones(plan)).upph
     eff_max, eff_max_displayed = _improvements(upph_max, baseline)
     eff_min, eff_min_displayed = _improvements(upph_min, baseline)
 
-    alphas = {iv.alpha for iv in intervals.values()}
+    # equality, not a set: hashing a Fraction costs more than comparing two
+    alpha = intervals[plan.tasks[0].id].alpha
     return RobustReport(
         plan=plan,
         allocation=allocation,
         intervals=dict(intervals),
-        alpha=alphas.pop() if len(alphas) == 1 else None,
+        alpha=alpha if all(iv.alpha == alpha for iv in intervals.values()) else None,
         line_ct_regular=regular,
         line_ct_best=best,
         line_ct_worst=worst,
@@ -195,11 +215,16 @@ def alpha_sweep(
 
     The regular series is constant; best falls and worst rises as alpha
     grows. `deviations` as in effective_intervals (None = task-stored).
+    The effective times and the baseline UPPH do not depend on alpha, so they
+    are computed once; errors come in grid order, as one effective_intervals
+    call per alpha would raise them.
     """
     alphas = [as_fraction(a) for a in alpha_grid]
     if not alphas:
         raise DomainError("alpha grid is empty")
+    times = _effective_times(plan, allocation)
+    baseline = _baseline_upph(plan)
     return tuple(
-        (a, robust_line_report(plan, allocation, effective_intervals(plan, allocation, a, deviations)))
+        (a, _line_report(plan, allocation, _intervals(plan, times, _alpha(a), deviations), baseline))
         for a in alphas
     )

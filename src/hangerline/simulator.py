@@ -345,6 +345,14 @@ class VerifyResult:
     checks: tuple[VerifyCheck, ...]
 
 
+def _tolerance(value) -> Fraction:
+    """A relative tolerance as a Fraction, checked to be >= 0."""
+    tolerance = as_fraction(value)
+    if tolerance < 0:
+        raise DomainError(f"tolerance must be >= 0, got {tolerance}")
+    return tolerance
+
+
 def verify_against_static(
     sim_result: SimResult,
     plan: ProcessPlan,
@@ -357,9 +365,10 @@ def verify_against_static(
     the bottleneck's utilization within tolerance of the busiest other stage
     (both relative). The second check does not ask for strict dominance: a
     never-blocked first stage reads exactly 1 while a bottleneck that was
-    still filling when the warmup ended reads a hair below it.
+    still filling when the warmup ended reads a hair below it. A negative
+    tolerance is refused.
     """
-    tolerance = as_fraction(tolerance)
+    tolerance = _tolerance(tolerance)
     if sim_result.plan != plan or sim_result.allocation != allocation:
         raise DomainError("sim result was produced from a different plan/allocation pair")
     if sim_result.config.service_model != "deterministic":

@@ -212,6 +212,15 @@ class TestSimulate:
         assert code == 4
         assert "verify throughput_matches_static: FAIL" in out
 
+    def test_negative_tolerance_exits_2_before_the_run(self, capsys, tasks_csv_path):
+        # a negative tolerance would fail a correct run; it is refused up front
+        code, out, err = run(
+            capsys, "simulate", "--tasks", tasks_csv_path, "--seats", "32",
+            "--hours", "2", "--warmup", "1", "--verify", "--tol", "-0.5",
+        )
+        assert (code, out) == (2, "")
+        assert "error: --tol: tolerance must be >= 0, got -1/2" in err
+
     def test_bad_service_model(self, capsys, tasks_csv_path):
         # argparse itself rejects the choice, still with status 2
         with pytest.raises(SystemExit) as exc:
@@ -230,6 +239,18 @@ class TestExitCodes:
         code, out, err = run(capsys, command, "--tasks", str(table), "--seats", "4")
         assert (code, err) == (0, "")
         assert "333333333333333333333333333.3 sec/pc" in out  # 1e27 over three stations
+
+    def test_compare_labels_a_zero_printed_baseline_as_exact(self, capsys, tmp_path):
+        # the 1e27 s line runs at 0.00 UPPH on paper, which gives no printed ratio
+        table = tmp_path / "line.csv"
+        table.write_text("task_id,description,cycle_time_sec\n1,a,1e27\n2,b,30\n")
+        code, out, _ = run(capsys, "compare", "--tasks", str(table), "--seats", "4")
+        assert code == 0
+        assert (
+            "UPPH improvement: 50.00% at full precision; 50.00% exact again, since the "
+            "two-decimal printed figures start from zero (0.00 -> 0.00)"
+        ) in out
+        assert "from the two-decimal printed figures" not in out
 
     def test_malformed_csv_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 """CSV and JSON interchange: task tables, reports, plot data."""
+import hashlib
 import json
 from fractions import Fraction
 
@@ -361,3 +362,12 @@ class TestPlotData:
         assert len(lines) == 1 + 2 * (19 + 1)
         line_rows = [l for l in lines if l.startswith("LINE")]
         assert line_rows[-1] == "LINE,1,40,38,42"
+
+    def test_shirt_sweep_is_pinned(self, shirt_plan, balanced, deviations):
+        # sha256 of the shirt sweep at --alphas 0.01:1:0.01 with the bundled
+        # deviation table, taken before the sweep and the formatter were tuned
+        grid = [Fraction(k, 100) for k in range(1, 101)]
+        text = hl.emit_plot_data(hl.alpha_sweep(shirt_plan, balanced.allocation, deviations, grid))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8414d903578d4b7af666525696c75deb89b85b17cd0eb2625cba9337be0e0256"
+        )

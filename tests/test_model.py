@@ -22,6 +22,10 @@ class TestAsFraction:
         assert hl.as_fraction(7) == Fraction(7)
         assert hl.as_fraction(Fraction(3, 2)) == Fraction(3, 2)
 
+    def test_fraction_is_returned_unchanged(self):
+        x = Fraction(110, 3)
+        assert hl.as_fraction(x) is x
+
     def test_float_uses_shortest_repr(self):
         # 36.7 must become exactly 367/10, not the binary expansion
         assert hl.as_fraction(36.7) == Fraction(367, 10)
@@ -211,3 +215,44 @@ def test_adding_a_station_never_slows_the_line(times):
 )
 def test_throughput_times_ct_is_the_period(ct):
     assert hl.throughput(ct) * ct == Fraction(3600)
+
+
+# denominators 1, 3, 7 and powers of ten up to the decimal exponent bound
+_DENOMINATORS = st.one_of(
+    st.sampled_from([1, 3, 7]), st.integers(0, hl.MAX_DECIMAL_EXPONENT).map(lambda k: 10**k)
+)
+
+
+@st.composite
+def _task_times(draw):
+    """Exact task times from about 1e-100 s to 1e106 s."""
+    exponent = draw(st.sampled_from([-100, -99, -1, 0, 1, 99, 100]))
+    return Fraction(draw(st.integers(1, 10**6)), draw(_DENOMINATORS)) * Fraction(10) ** exponent
+
+
+@st.composite
+def _allocated_lines(draw):
+    """A plan whose task times come from a small palette (so ties are common)
+    and a random allocation of it."""
+    palette = draw(st.lists(_task_times(), min_size=1, max_size=4))
+    if draw(st.booleans()):  # a near tie, closer than any float can tell
+        palette.append(palette[0] + Fraction(1, 10**hl.MAX_DECIMAL_EXPONENT))
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(1, 10**6), unique=True, min_size=n, max_size=n))
+    tasks = tuple(
+        hl.Task(id=i, description=f"op {i}", cycle_time=draw(st.sampled_from(palette))) for i in ids
+    )
+    stations = {i: draw(st.integers(1, 12)) for i in ids}
+    return hl.ProcessPlan(tasks=tasks, seat_budget=sum(stations.values())), hl.Allocation(stations)
+
+
+@given(line=_allocated_lines())
+def test_line_cycle_time_matches_a_fraction_oracle(line):
+    plan, alloc = line
+    effective = {t.id: t.cycle_time / alloc.stations[t.id] for t in plan.tasks}
+    ct = hl.line_cycle_time(plan, alloc)
+    assert type(ct) is Fraction
+    assert ct == max(effective.values())
+    necks = hl.bottleneck_tasks(plan, alloc)
+    assert necks and all(effective[i] == ct for i in necks)
+    assert set(necks) == {i for i, time in effective.items() if time == ct}

@@ -138,6 +138,12 @@ class TestRobustReport:
         assert hl.truncate_decimals(report.upph_max) > 0
         assert report.eff_max_displayed == report.eff_max
         assert report.eff_min_displayed == report.eff_min
+        # and the table says so instead of citing the printed figures
+        table = hl.emit_report(report, "table")
+        assert table.endswith(
+            "exact again, since the two-decimal printed baseline is 0.00\n"
+        )
+        assert "from two-decimal printed figures" not in table
 
 
 class TestAlphaSweep:
@@ -221,3 +227,62 @@ def test_line_bounds_bracket_the_nominal_ct(times, extra, data):
     assert report.line_ct_best <= report.line_ct_regular <= report.line_ct_worst
     assert report.throughput_worst <= report.throughput_regular <= report.throughput_best
     assert report.upph_min <= report.upph_regular <= report.upph_max
+
+
+_rarely = st.sampled_from([False] * 7 + [True])
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A small line with task-stored deviations, a greedy allocation (now and
+    then missing a task), an optional deviation map (now and then missing an
+    entry) and a grid that may hold out-of-range alphas. Deviations reach up
+    to twice a task's effective time, so larger alphas can swallow it."""
+    n = draw(st.integers(1, 6))
+    times = draw(st.lists(st.integers(5, 120), min_size=n, max_size=n))
+    fracs = st.fractions(min_value=0, max_value=Fraction(19, 20), max_denominator=20)
+    tasks = tuple(
+        hl.Task(id=i + 1, description=f"op {i + 1}", cycle_time=t,
+                dev_plus=draw(fracs) * t, dev_minus=draw(fracs) * t)
+        for i, t in enumerate(times)
+    )
+    plan = hl.ProcessPlan(tasks=tasks, seat_budget=n + draw(st.integers(0, 8)))
+    stations = dict(hl.greedy_balance(plan).allocation.stations)
+    if draw(_rarely):
+        del stations[draw(st.sampled_from(plan.task_ids))]
+    alloc = hl.Allocation(stations)
+    deviations = None
+    if draw(st.booleans()):
+        ratio = st.fractions(min_value=0, max_value=2, max_denominator=20)
+        deviations = {
+            t.id: (draw(ratio) * t.cycle_time / stations.get(t.id, 1),
+                   draw(ratio) * t.cycle_time / stations.get(t.id, 1))
+            for t in tasks
+        }
+        if draw(_rarely):
+            del deviations[draw(st.sampled_from(plan.task_ids))]
+    alpha = st.fractions(min_value=Fraction(1, 100), max_value=1, max_denominator=100)
+    grid = draw(st.lists(alpha, min_size=1, max_size=8))
+    if draw(_rarely):
+        bad = draw(st.sampled_from([Fraction(0), Fraction(-1), Fraction(3, 2)]))
+        grid.insert(draw(st.integers(0, len(grid))), bad)
+    return plan, alloc, deviations, grid
+
+
+def _outcome(call):
+    try:
+        return call()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@given(case=_sweep_cases())
+def test_sweep_equals_one_report_per_alpha(case):
+    # the sweep computes the per-line values once; its reports, and its first
+    # error in grid order, are those of one effective_intervals call per alpha
+    plan, alloc, deviations, grid = case
+    expected = _outcome(lambda: tuple(
+        (a, hl.robust_line_report(plan, alloc, hl.effective_intervals(plan, alloc, a, deviations)))
+        for a in grid
+    ))
+    assert _outcome(lambda: hl.alpha_sweep(plan, alloc, deviations, grid)) == expected

@@ -327,6 +327,15 @@ class TestVerifyAgainstStatic:
         verdict = hl.verify_against_static(run, plan, alloc, tolerance=Fraction(2, 100))
         assert verdict.passed
 
+    def test_negative_tolerance_rejected(self):
+        plan = make_plan([60, 60], 2)
+        alloc = hl.Allocation.ones(plan)
+        run = hl.simulate(plan, alloc, SimConfig(horizon_s=hours(1)))
+        with pytest.raises(DomainError, match=r"tolerance must be >= 0, got -1/2$"):
+            hl.verify_against_static(run, plan, alloc, tolerance=Fraction(-1, 2))
+        # zero asks for an exact match, which pipeline fill denies this run
+        assert not hl.verify_against_static(run, plan, alloc, tolerance=0).passed
+
     def test_bottleneck_a_hair_below_a_saturated_stage_passes(self):
         # the warmup (the 113 s work content) ends while the 5-station
         # bottleneck is still filling; the never-blocked first stage reads 1
