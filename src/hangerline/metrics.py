@@ -32,8 +32,8 @@ def truncate_decimals(value, places: int = 2) -> Fraction:
         raise DomainError(f"truncation is defined for nonnegative values, got {value}")
     if places < 0:
         raise DomainError(f"places must be >= 0, got {places}")
-    scale = Fraction(10) ** places
-    return Fraction(int(value * scale), 1) / scale
+    scale = 10**places
+    return Fraction(value.numerator * scale // value.denominator, scale)
 
 
 def upph(output_per_hour, workers: int) -> Fraction:

@@ -19,7 +19,10 @@ from .model import Allocation, ProcessPlan, _effective_times, _require_coverage,
 
 @dataclass(frozen=True)
 class CtInterval:
-    """An uncertain cycle time: nominal value with scaled deviation bounds."""
+    """An uncertain cycle time: nominal value with scaled deviation bounds.
+    Every construction, decoding included, checks in integers that alpha lies
+    in (0, 1], d_plus, d_minus >= 0 and lo = nominal - alpha*d_minus > 0,
+    hi = nominal + alpha*d_plus."""
 
     nominal: Fraction
     lo: Fraction
@@ -30,44 +33,38 @@ class CtInterval:
 
     def __post_init__(self):
         for name in ("nominal", "lo", "hi", "alpha", "d_plus", "d_minus"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        if not self.lo <= self.nominal <= self.hi:
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, as_fraction(value))
+        p, q = _alpha(self.alpha).as_integer_ratio()
+        n, d = self.nominal.as_integer_ratio()
+        cp, ep = self.d_plus.as_integer_ratio()
+        cm, em = self.d_minus.as_integer_ratio()
+        if cp < 0 or cm < 0:
+            raise DomainError("deviations must be >= 0")
+        lo_n, lo_d = n * q * em - p * cm * d, d * q * em
+        hi_n, hi_d = n * q * ep + p * cp * d, d * q * ep
+        lo, hi = self.lo, self.hi
+        if lo.numerator * lo_d != lo_n * lo.denominator or hi.numerator * hi_d != hi_n * hi.denominator:
+            raise DomainError(f"interval [{lo}, {hi}] is not {self.nominal} -/+ alpha*deviations")
+        if lo_n <= 0:
             raise DomainError(
-                f"interval bounds out of order: lo={self.lo} nominal={self.nominal} hi={self.hi}"
+                f"alpha*d_minus = {self.alpha * self.d_minus} swallows the nominal cycle time {self.nominal}"
             )
-        if self.lo <= 0:
-            raise DomainError(f"lower cycle-time bound must stay positive, got {self.lo}")
 
 
 def _alpha(alpha) -> Fraction:
     """An uncertainty level as a Fraction, checked to lie in (0, 1]."""
     alpha = as_fraction(alpha)
-    if not 0 < alpha <= 1:
+    if not 0 < alpha.numerator <= alpha.denominator:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     return alpha
 
 
 def ct_interval(nominal, d_plus, d_minus, alpha) -> CtInterval:
     """Widen a nominal cycle time by alpha-scaled deviations."""
-    nominal = as_fraction(nominal)
-    d_plus = as_fraction(d_plus)
-    d_minus = as_fraction(d_minus)
-    alpha = _alpha(alpha)
-    if d_plus < 0 or d_minus < 0:
-        raise DomainError("deviations must be >= 0")
-    lo = nominal - alpha * d_minus
-    if lo <= 0:
-        raise DomainError(
-            f"alpha*d_minus = {alpha * d_minus} swallows the nominal cycle time {nominal}"
-        )
-    return CtInterval(
-        nominal=nominal,
-        lo=lo,
-        hi=nominal + alpha * d_plus,
-        alpha=alpha,
-        d_plus=d_plus,
-        d_minus=d_minus,
-    )
+    row = _row(None, as_fraction(nominal), d_plus, d_minus)
+    return _widen([row], as_fraction(alpha))[0][None]
 
 
 Deviations = dict[int, tuple[Fraction, Fraction]]
@@ -87,15 +84,23 @@ def effective_intervals(
     (task id -> (d_plus, d_minus)) overrides the deviations stored on the
     tasks themselves. An interval that cannot be formed names its task.
     """
-    return _intervals(plan, _effective_times(plan, allocation), _alpha(alpha), deviations)
+    times = _effective_times(plan, allocation)
+    return _widen(_rows(plan, times, deviations, []), _alpha(alpha))[0]
 
 
-def _intervals(
-    plan: ProcessPlan, times: dict[int, Fraction], alpha: Fraction, deviations: Deviations | None
-) -> dict[int, CtInterval]:
-    """effective_intervals on effective times already computed, at a checked
-    alpha."""
-    out: dict[int, CtInterval] = {}
+def _row(task_id, nominal: Fraction, d_plus, d_minus) -> tuple:
+    """One task's interval inputs. With nominal = a/b and d+- = c/e, the
+    integers a*e, c*b and b*e of each side do not depend on alpha."""
+    d_plus, d_minus = as_fraction(d_plus), as_fraction(d_minus)
+    a, b = nominal.as_integer_ratio()
+    cp, ep = d_plus.as_integer_ratio()
+    cm, em = d_minus.as_integer_ratio()
+    return task_id, nominal, d_plus, d_minus, a * em, cm * b, b * em, a * ep, cp * b, b * ep
+
+
+def _rows(plan: ProcessPlan, times: dict[int, Fraction], deviations: Deviations | None, into: list):
+    """Each task's _row in plan order, also appended to `into` as it is
+    yielded: read while the first alpha is widened, so errors keep plan order."""
     for t in plan.tasks:
         if deviations is not None:
             try:
@@ -105,10 +110,33 @@ def _intervals(
         else:
             d_plus, d_minus = t.dev_plus, t.dev_minus
         try:
-            out[t.id] = ct_interval(times[t.id], d_plus, d_minus, alpha)
+            row = _row(t.id, times[t.id], d_plus, d_minus)
         except DomainError as exc:
             raise DomainError(f"task {t.id}: {exc}") from None
-    return out
+        into.append(row)
+        yield row
+
+
+def _widen(rows, alpha: Fraction) -> tuple[dict, Fraction, Fraction]:
+    """The deviation-interval rule at one alpha = p/q: each task's interval,
+    lo = (a*e*q - p*c*b) / (b*e*q) and hi alike, and the line's best and worst
+    paces by cross multiplication. Tasks share no common denominator, which
+    coprime ones would grow without bound."""
+    p, q = alpha.as_integer_ratio()
+    out = {}
+    best_n, best_d, worst_n, worst_d = 0, 1, 0, 1
+    for task_id, nominal, d_plus, d_minus, ae_m, cb_m, be_m, ae_p, cb_p, be_p in rows:
+        lo_n, lo_d = ae_m * q - p * cb_m, be_m * q
+        hi_n, hi_d = ae_p * q + p * cb_p, be_p * q
+        try:
+            out[task_id] = CtInterval(nominal, Fraction(lo_n, lo_d), Fraction(hi_n, hi_d), alpha, d_plus, d_minus)
+        except DomainError as exc:
+            raise DomainError(f"task {task_id}: {exc}" if task_id else str(exc)) from None
+        if lo_n * best_d > best_n * lo_d:
+            best_n, best_d = lo_n, lo_d
+        if hi_n * worst_d > worst_n * hi_d:
+            worst_n, worst_d = hi_n, hi_d
+    return out, Fraction(best_n, best_d), Fraction(worst_n, worst_d)
 
 
 @dataclass(frozen=True)
@@ -152,7 +180,18 @@ def robust_line_report(
     missing = [t.id for t in plan.tasks if t.id not in intervals]
     if missing:
         raise DomainError(f"intervals missing tasks: {missing}")
-    return _line_report(plan, allocation, intervals, _baseline_upph(plan))
+    if len(intervals) > len(plan.tasks):
+        ids = set(plan.task_ids)
+        raise DomainError(f"intervals have tasks the plan does not: {[i for i in intervals if i not in ids]}")
+    ivs = intervals.values()
+    # equality, not a set: hashing a Fraction costs more than comparing two
+    alpha = intervals[plan.tasks[0].id].alpha
+    return _reports(plan, allocation, max(iv.nominal for iv in ivs))(
+        alpha if all(iv.alpha == alpha for iv in ivs) else None,
+        dict(intervals),
+        max(iv.lo for iv in ivs),
+        max(iv.hi for iv in ivs),
+    )
 
 
 def _baseline_upph(plan: ProcessPlan) -> Fraction:
@@ -160,49 +199,42 @@ def _baseline_upph(plan: ProcessPlan) -> Fraction:
     return productivity_report(plan, Allocation.ones(plan)).upph
 
 
-def _line_report(
-    plan: ProcessPlan,
-    allocation: Allocation,
-    intervals: dict[int, CtInterval],
-    baseline: Fraction,
-) -> RobustReport:
-    """robust_line_report on checked intervals, against a given baseline UPPH."""
-    regular = max(intervals[t.id].nominal for t in plan.tasks)
-    best = max(intervals[t.id].lo for t in plan.tasks)
-    worst = max(intervals[t.id].hi for t in plan.tasks)
-
+def _reports(plan: ProcessPlan, allocation: Allocation, regular: Fraction):
+    """RobustReports of one line at a regular pace: the fields that do not
+    depend on alpha are computed once, here."""
+    baseline = _baseline_upph(plan)
     workers = allocation.total
     throughput_regular = plan.period / regular
-    throughput_worst = floor(plan.period / worst)
-    throughput_best = ceil(plan.period / best)
     upph_regular = upph(throughput_regular, workers)
-    upph_min = upph(Fraction(throughput_worst), workers)
-    upph_max = upph(Fraction(throughput_best), workers)
 
-    eff_max, eff_max_displayed = _improvements(upph_max, baseline)
-    eff_min, eff_min_displayed = _improvements(upph_min, baseline)
+    def report(alpha, intervals: dict, best: Fraction, worst: Fraction) -> RobustReport:
+        throughput_worst = floor(plan.period / worst)
+        throughput_best = ceil(plan.period / best)
+        upph_min = upph(Fraction(throughput_worst), workers)
+        upph_max = upph(Fraction(throughput_best), workers)
+        eff_max, eff_max_displayed = _improvements(upph_max, baseline)
+        eff_min, eff_min_displayed = _improvements(upph_min, baseline)
+        return RobustReport(
+            plan=plan,
+            allocation=allocation,
+            intervals=intervals,
+            alpha=alpha,
+            line_ct_regular=regular,
+            line_ct_best=best,
+            line_ct_worst=worst,
+            throughput_regular=throughput_regular,
+            throughput_best=throughput_best,
+            throughput_worst=throughput_worst,
+            upph_regular=upph_regular,
+            upph_max=upph_max,
+            upph_min=upph_min,
+            eff_max=eff_max,
+            eff_min=eff_min,
+            eff_max_displayed=eff_max_displayed,
+            eff_min_displayed=eff_min_displayed,
+        )
 
-    # equality, not a set: hashing a Fraction costs more than comparing two
-    alpha = intervals[plan.tasks[0].id].alpha
-    return RobustReport(
-        plan=plan,
-        allocation=allocation,
-        intervals=dict(intervals),
-        alpha=alpha if all(iv.alpha == alpha for iv in intervals.values()) else None,
-        line_ct_regular=regular,
-        line_ct_best=best,
-        line_ct_worst=worst,
-        throughput_regular=throughput_regular,
-        throughput_best=throughput_best,
-        throughput_worst=throughput_worst,
-        upph_regular=upph_regular,
-        upph_max=upph_max,
-        upph_min=upph_min,
-        eff_max=eff_max,
-        eff_min=eff_min,
-        eff_max_displayed=eff_max_displayed,
-        eff_min_displayed=eff_min_displayed,
-    )
+    return report
 
 
 def alpha_sweep(
@@ -215,16 +247,15 @@ def alpha_sweep(
 
     The regular series is constant; best falls and worst rises as alpha
     grows. `deviations` as in effective_intervals (None = task-stored).
-    The effective times and the baseline UPPH do not depend on alpha, so they
-    are computed once; errors come in grid order, as one effective_intervals
-    call per alpha would raise them.
+    The effective times, each task's integer pairs and the alpha-free report
+    fields are computed once; errors come in grid order, as one
+    effective_intervals call per alpha would raise them.
     """
     alphas = [as_fraction(a) for a in alpha_grid]
     if not alphas:
         raise DomainError("alpha grid is empty")
     times = _effective_times(plan, allocation)
-    baseline = _baseline_upph(plan)
-    return tuple(
-        (a, _line_report(plan, allocation, _intervals(plan, times, _alpha(a), deviations), baseline))
-        for a in alphas
-    )
+    report = _reports(plan, allocation, max(times.values()))
+    rows: list = []
+    source = _rows(plan, times, deviations, rows)
+    return tuple((a, report(a, *_widen(rows or source, _alpha(a)))) for a in alphas)

@@ -82,7 +82,8 @@ class SimConfig:
             raise DomainError(f"horizon must be > 0 seconds, got {self.horizon_s}")
         if self.warmup_s < 0 or self.warmup_s >= self.horizon_s:
             raise DomainError(
-                f"warmup must satisfy 0 <= warmup < horizon, got {self.warmup_s}/{self.horizon_s}"
+                f"warmup must satisfy 0 <= warmup < horizon, got warmup {self.warmup_s} s "
+                f"and horizon {self.horizon_s} s"
             )
         if self.service_model not in _SERVICE_MODELS:
             raise DomainError(f"service_model must be one of {_SERVICE_MODELS}, got {self.service_model!r}")

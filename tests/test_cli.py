@@ -221,6 +221,14 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert "error: --tol: tolerance must be >= 0, got -1/2" in err
 
+    def test_warmup_past_the_horizon_names_both_values(self, capsys, tasks_csv_path):
+        code, out, err = run(
+            capsys, "simulate", "--tasks", tasks_csv_path, "--seats", "32",
+            "--hours", "1", "--warmup", "2",
+        )
+        assert (code, out) == (2, "")
+        assert "got warmup 7200 s and horizon 3600 s" in err
+
     def test_bad_service_model(self, capsys, tasks_csv_path):
         # argparse itself rejects the choice, still with status 2
         with pytest.raises(SystemExit) as exc:

@@ -245,6 +245,27 @@ class TestReportRoundTrips:
         assert any(isinstance(u, float) for u in run.utilization.values())
         assert hl.parse_report(hl.emit_report(run, "json")) == run
 
+    @pytest.mark.parametrize("tamper", [
+        {"alpha": "7", "d_plus": "-3"},
+        {"alpha": "7"},
+        {"d_plus": "-3"},
+        {"hi": "33"},
+        {"lo": "0", "d_minus": "30"},
+    ])
+    def test_robust_document_with_a_broken_interval_rejected(self, tamper):
+        # one interval contradicts the rule; the report-level alpha still reads 1
+        tasks = hl.parse_tasks(
+            "task_id,description,cycle_time_sec,dev_plus_sec,dev_minus_sec\n1,a,30,1,1\n2,b,40,2,2\n"
+        )
+        plan = hl.ProcessPlan(tasks=tasks, seat_budget=4)
+        alloc = hl.greedy_balance(plan).allocation
+        report = hl.robust_line_report(plan, alloc, hl.effective_intervals(plan, alloc))
+        data = json.loads(hl.emit_report(report, "json"))
+        assert hl.parse_report(json.dumps(data)) == report
+        data["intervals"]["1"].update(tamper)
+        with pytest.raises(ParseError, match="^malformed robust report: "):
+            hl.parse_report(json.dumps(data))
+
     def test_simulation_document_with_release_key_parses(self, shirt_plan, balanced):
         # documents written before SimConfig lost its single-valued release knob
         run = hl.simulate(shirt_plan, balanced.allocation, SimConfig(horizon_s=600))

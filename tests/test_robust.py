@@ -1,8 +1,10 @@
 """Interval uncertainty: per-task CT bands, line-level bounds, alpha sweeps."""
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import hangerline as hl
 from hangerline import DomainError
@@ -37,6 +39,24 @@ class TestCtInterval:
     def test_rejects_band_reaching_zero(self):
         with pytest.raises(DomainError):
             hl.ct_interval(Fraction(10), Fraction(0), Fraction(10), Fraction(1))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", "7", r"alpha must lie in \(0, 1\], got 7"),
+        ("d_plus", "-3", "deviations must be >= 0"),
+        ("hi", "41", r"interval \[29, 41\] is not 30 -/\+ alpha\*deviations"),
+        ("lo", "28", r"interval \[28, 32\] is not 30 -/\+ alpha\*deviations"),
+        ("nominal", "31", r"interval \[29, 32\] is not 31 -/\+ alpha\*deviations"),
+        ("d_minus", "2", r"interval \[29, 32\] is not 30 -/\+ alpha\*deviations"),
+    ])
+    def test_constructor_checks_the_whole_rule(self, field, value, message):
+        fields = dict(nominal=30, lo=29, hi=32, alpha=1, d_plus=2, d_minus=1)
+        hl.CtInterval(**fields)
+        with pytest.raises(DomainError, match=message):
+            hl.CtInterval(**{**fields, field: Fraction(value)})
+
+    def test_constructor_rejects_a_band_reaching_zero(self):
+        with pytest.raises(DomainError, match=r"^alpha\*d_minus = 10 swallows the nominal cycle time 10$"):
+            hl.CtInterval(nominal=10, lo=0, hi=10, alpha=1, d_plus=0, d_minus=10)
 
 
 class TestEffectiveIntervals:
@@ -74,6 +94,14 @@ class TestEffectiveIntervals:
         intervals = hl.effective_intervals(plan, hl.Allocation({1: 1, 2: 2}))
         with pytest.raises(DomainError, match=r"\[99\]"):
             hl.robust_line_report(plan, foreign, intervals)
+
+    def test_foreign_interval_ids_rejected(self):
+        plan = make_plan([30, 60], 3)
+        alloc = hl.Allocation({1: 1, 2: 2})
+        intervals = hl.effective_intervals(plan, alloc)
+        extra = {**intervals, 99: hl.ct_interval(1000, 0, 0, Fraction(1, 2))}
+        with pytest.raises(DomainError, match=r"^intervals have tasks the plan does not: \[99\]$"):
+            hl.robust_line_report(plan, alloc, extra)
 
     def test_swallowed_deviation_names_its_task(self):
         # task 2 runs at 60/2 = 30 s, which a 30 s downward deviation swallows
@@ -191,6 +219,41 @@ class TestAlphaSweep:
             hl.alpha_sweep(devs_plan, alloc, None, [Fraction(2)])
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldens:
+    """Report and plot text pinned to what the per-interval Fraction code
+    produced, before the sweep built its intervals from integer pairs."""
+
+    @pytest.mark.parametrize("alpha, fmt, digest", [
+        (Fraction(1), "json", "cb86e0318886ae4644fb40181043ef324781c914289c453c285acd38773648bc"),
+        (Fraction(1), "table", "5daf8e56af124c4bf9bc51b0aa76b59db75841a73f29998ae8ec0aec9df05d4a"),
+        (Fraction(1, 2), "json", "9dba3bbddbb0469820f6fc754cf8ec9850af61b3578b42de4643e02f7b854380"),
+        (Fraction(1, 2), "table", "f9f476aa09f45d212c21ef28cdfb0aa7f7ff158dd6d4cc2915ecac91f640fb1f"),
+        (Fraction(13, 100), "json", "8355c9913d1d8dc2994be56b45502e2961748527514c1902331ac04973e4c3de"),
+        (Fraction(13, 100), "table", "906b52598a0b196ce8b0ad1cafcdd07b181a9b7ba99389fdef5b5394fdcd0d7a"),
+    ])
+    def test_shirt_report_is_pinned(self, shirt_plan, balanced, deviations, alpha, fmt, digest):
+        intervals = hl.effective_intervals(shirt_plan, balanced.allocation, alpha, deviations)
+        report = hl.robust_line_report(shirt_plan, balanced.allocation, intervals)
+        assert _sha256(hl.emit_report(report, fmt)) == digest
+
+    def test_mixed_denominator_plot_is_pinned(self):
+        # decimal task times, station counts 1/2/3/7 and a deviation map of
+        # ints, decimal strings, a float and a sevenths Fraction
+        plan = hl.ProcessPlan(tasks=(
+            hl.Task(1, "collar", "36.7"), hl.Task(2, "cuff", "12.35"), hl.Task(3, "yoke", 110),
+            hl.Task(4, "label", "0.125"), hl.Task(5, "hem", 45),
+        ), seat_budget=14)
+        alloc = hl.Allocation({1: 3, 2: 1, 3: 7, 4: 1, 5: 2})
+        devs = {1: ("2.3", "1.7"), 2: (1, "0.05"), 3: (Fraction(1, 7), 3), 4: ("0.01", 0.1), 5: (2, 2)}
+        grid = [Fraction(k, 10) for k in range(1, 11)] + [Fraction(1, 20)]
+        text = hl.emit_plot_data(hl.alpha_sweep(plan, alloc, devs, grid))
+        assert _sha256(text) == "870a4854a9de9e457db4ac6c7bf56330c0b09ebc1536de9136dc957d496d2fc1"
+
+
 @given(
     nominal=st.fractions(min_value=Fraction(5), max_value=Fraction(200)),
     d_plus=st.fractions(min_value=Fraction(0), max_value=Fraction(4)),
@@ -286,3 +349,213 @@ def test_sweep_equals_one_report_per_alpha(case):
         for a in grid
     ))
     assert _outcome(lambda: hl.alpha_sweep(plan, alloc, deviations, grid)) == expected
+
+
+# The per-interval Fraction code that the integer kernel replaced, kept as an
+# independent reference: every interval, report field and first error of the
+# kernel must match it.
+
+def _ref_alpha(alpha):
+    alpha = hl.as_fraction(alpha)
+    if not 0 < alpha <= 1:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    return alpha
+
+
+def _ref_ct_interval(nominal, d_plus, d_minus, alpha):
+    nominal = hl.as_fraction(nominal)
+    d_plus = hl.as_fraction(d_plus)
+    d_minus = hl.as_fraction(d_minus)
+    alpha = _ref_alpha(alpha)
+    if d_plus < 0 or d_minus < 0:
+        raise DomainError("deviations must be >= 0")
+    lo = nominal - alpha * d_minus
+    if lo <= 0:
+        raise DomainError(
+            f"alpha*d_minus = {alpha * d_minus} swallows the nominal cycle time {nominal}"
+        )
+    return nominal, lo, nominal + alpha * d_plus, alpha, d_plus, d_minus
+
+
+def _ref_intervals(plan, allocation, alpha, deviations):
+    hl.line_cycle_time(plan, allocation)  # the coverage check, with its messages
+    times = {t.id: t.cycle_time / allocation.stations[t.id] for t in plan.tasks}
+    alpha = _ref_alpha(alpha)
+    out = {}
+    for t in plan.tasks:
+        if deviations is not None:
+            try:
+                d_plus, d_minus = deviations[t.id]
+            except KeyError:
+                raise DomainError(f"no deviation entry for task {t.id}") from None
+        else:
+            d_plus, d_minus = t.dev_plus, t.dev_minus
+        try:
+            out[t.id] = _ref_ct_interval(times[t.id], d_plus, d_minus, alpha)
+        except DomainError as exc:
+            raise DomainError(f"task {t.id}: {exc}") from None
+    return out
+
+
+def _ref_truncate(x):
+    return Fraction(x.numerator * 100 // x.denominator, 100)
+
+
+def _ref_report(plan, allocation, intervals):
+    """Report fields from intervals given as (nominal, lo, hi, alpha, d_plus, d_minus)."""
+    regular, best, worst = (max(iv[k] for iv in intervals.values()) for k in range(3))
+    workers = sum(allocation.stations.values())
+    throughput_regular = plan.period / regular
+    throughput_best = math.ceil(plan.period / best)
+    throughput_worst = math.floor(plan.period / worst)
+    base = plan.period / max(t.cycle_time for t in plan.tasks) / len(plan.tasks)
+
+    def gains(upph):
+        exact = (upph - base) / base
+        if _ref_truncate(base) == 0:
+            return exact, exact
+        return exact, (_ref_truncate(upph) - _ref_truncate(base)) / _ref_truncate(base)
+
+    upph_max = Fraction(throughput_best, workers)
+    upph_min = Fraction(throughput_worst, workers)
+    alphas = [iv[3] for iv in intervals.values()]
+    return dict(
+        intervals=intervals,
+        alpha=alphas[0] if all(a == alphas[0] for a in alphas) else None,
+        line_ct_regular=regular,
+        line_ct_best=best,
+        line_ct_worst=worst,
+        throughput_regular=throughput_regular,
+        throughput_best=throughput_best,
+        throughput_worst=throughput_worst,
+        upph_regular=throughput_regular / workers,
+        upph_max=upph_max,
+        upph_min=upph_min,
+        eff_max=gains(upph_max)[0],
+        eff_min=gains(upph_min)[0],
+        eff_max_displayed=gains(upph_max)[1],
+        eff_min_displayed=gains(upph_min)[1],
+    )
+
+
+def _ref_sweep(plan, allocation, deviations, grid):
+    alphas = [hl.as_fraction(a) for a in grid]
+    if not alphas:
+        raise DomainError("alpha grid is empty")
+    hl.line_cycle_time(plan, allocation)
+    return [
+        (a, _ref_report(plan, allocation, _ref_intervals(plan, allocation, a, deviations)))
+        for a in alphas
+    ]
+
+
+def _as_tuples(intervals):
+    return {
+        tid: (iv.nominal, iv.lo, iv.hi, iv.alpha, iv.d_plus, iv.d_minus)
+        for tid, iv in intervals.items()
+    }
+
+
+def _fields(report):
+    fields = {
+        name: getattr(report, name)
+        for name in (
+            "alpha", "line_ct_regular", "line_ct_best", "line_ct_worst", "throughput_regular",
+            "throughput_best", "throughput_worst", "upph_regular", "upph_max", "upph_min",
+            "eff_max", "eff_min", "eff_max_displayed", "eff_min_displayed",
+        )
+    }
+    fields["intervals"] = _as_tuples(report.intervals)
+    return fields
+
+
+_DENOMINATORS = st.sampled_from([1, 7, 11, 13, 10, 10**100])
+
+
+@st.composite
+def _rational(draw, low, high):
+    """A Fraction in [low, high] whose denominator is 1, 7, 11, 13, 10 or 10^100."""
+    den = draw(_DENOMINATORS)
+    return Fraction(draw(st.integers(low * den, high * den)), den)
+
+
+def _deviation_value(draw, value):
+    """`value` as an int, a decimal string, a float or a Fraction, now and then
+    negative or junk."""
+    if draw(_rarely):
+        return draw(st.sampled_from([-1, "-0.5", Fraction(-1, 7), "junk"]))
+    form = draw(st.sampled_from(["fraction", "int", "str", "float"]))
+    if form == "int":
+        return int(value)
+    if form == "str":
+        return format(float(value), ".3f")
+    return float(value) if form == "float" else value
+
+
+_GRID_POINTS = st.one_of(
+    st.fractions(min_value=Fraction(1, 100), max_value=1, max_denominator=100),
+    st.sampled_from([
+        Fraction(1, 7), Fraction(1, 11), Fraction(1, 13), Fraction(1, 10**100), 1, "0.5", 0.25,
+    ]),
+)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A line of 1-6 tasks with coprime-denominator times and task-stored
+    deviations, a greedy allocation (now and then missing a task or holding a
+    foreign one), an optional deviation map of ints, decimal strings, floats
+    and Fractions reaching twice a task's effective time (so larger alphas
+    can swallow a band), and a grid that may hold bad alphas."""
+    n = draw(st.integers(1, 6))
+    tasks = []
+    for i in range(n):
+        ct = draw(_rational(1, 120))
+        share = st.integers(0, 19).map(lambda k: Fraction(k, 20))
+        tasks.append(hl.Task(id=i + 1, description=f"op {i + 1}", cycle_time=ct,
+                             dev_plus=draw(_rational(0, 4)), dev_minus=draw(share) * ct))
+    plan = hl.ProcessPlan(tasks=tasks, seat_budget=n + draw(st.integers(0, 8)))
+    stations = dict(hl.greedy_balance(plan).allocation.stations)
+    if draw(_rarely):
+        del stations[draw(st.sampled_from(plan.task_ids))]
+    elif draw(_rarely):
+        stations[99] = 1
+    alloc = hl.Allocation(stations)
+    deviations = None
+    if draw(st.booleans()):
+        ratio = st.fractions(min_value=0, max_value=2, max_denominator=20)
+        deviations = {
+            t.id: tuple(
+                _deviation_value(draw, draw(ratio) * t.cycle_time / stations.get(t.id, 1))
+                for _ in "+-"
+            )
+            for t in tasks
+        }
+        if draw(_rarely):
+            del deviations[draw(st.sampled_from(plan.task_ids))]
+    grid = draw(st.lists(_GRID_POINTS, min_size=1, max_size=6))
+    if draw(_rarely):
+        bad = draw(st.sampled_from([Fraction(0), Fraction(-1), Fraction(3, 2), "1.5"]))
+        grid.insert(draw(st.integers(0, len(grid))), bad)
+    return plan, alloc, deviations, grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_kernel_cases())
+def test_kernel_matches_the_fraction_reference(case):
+    plan, alloc, deviations, grid = case
+    sweep = _outcome(lambda: [(a, _fields(r)) for a, r in hl.alpha_sweep(plan, alloc, deviations, grid)])
+    assert sweep == _outcome(lambda: _ref_sweep(plan, alloc, deviations, grid))
+    first, last = (
+        _outcome(lambda: hl.effective_intervals(plan, alloc, a, deviations)) for a in (grid[0], grid[-1])
+    )
+    assert (_as_tuples(first) if isinstance(first, dict) else first) == _outcome(
+        lambda: _ref_intervals(plan, alloc, grid[0], deviations)
+    )
+    if isinstance(first, dict) and isinstance(last, dict):
+        # every other task from the last alpha: a report whose alpha is None
+        mixed = {tid: (last if k % 2 else first)[tid] for k, tid in enumerate(plan.task_ids)}
+        for intervals in (first, mixed):
+            assert _fields(hl.robust_line_report(plan, alloc, intervals)) == _ref_report(
+                plan, alloc, _as_tuples(intervals)
+            )
