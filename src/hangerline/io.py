@@ -23,8 +23,10 @@ from pathlib import Path
 from .balancer import BalanceResult
 from .errors import DomainError, ParseError
 from .metrics import Comparison, ProductivityReport, _prints_as_zero
-from .model import Allocation, Task, _effective_times, as_fraction, throughput
-from .robust import RobustReport, _baseline_upph
+from .model import (
+    Allocation, Task, _effective_times, _require_staffable, as_fraction, line_cycle_time, throughput,
+)
+from .robust import RobustReport, _baseline_upph, robust_line_report
 from .simulator import SimResult
 
 _TASK_COLUMNS = ("task_id", "description", "cycle_time_sec", "dev_plus_sec", "dev_minus_sec")
@@ -309,7 +311,8 @@ def report_to_dict(result) -> dict:
 
 
 def report_from_dict(data: dict):
-    """Inverse of report_to_dict."""
+    """Inverse of report_to_dict. A balance or robust document must hold the
+    report its own inputs produce (a balance's iterations are not rerun)."""
     try:
         kind = data["kind"]
     except (KeyError, TypeError):
@@ -318,9 +321,22 @@ def report_from_dict(data: dict):
     if cls is None:
         raise ParseError(f"unknown report kind {kind!r}")
     try:
-        return _codec(cls)[1](data)
+        report = _codec(cls)[1](data)
+        if cls is BalanceResult:
+            _require_staffable(report.plan, report.allocation)
+            ct = line_cycle_time(report.plan, report.allocation)
+            derived = dataclasses.replace(report, line_cycle_time=ct)
+        elif cls is RobustReport:
+            derived = robust_line_report(report.plan, report.allocation, report.intervals)
+        else:
+            return report
     except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed {kind} report: {exc}") from None
+    names = [f.name for f in dataclasses.fields(cls)]
+    wrong = [_KEYS.get(n, n) for n in names if getattr(derived, n) != getattr(report, n)]
+    if wrong:
+        raise ParseError(f"malformed {kind} report: fields {wrong} disagree with its inputs")
+    return derived
 
 
 def parse_report(text: str):
@@ -350,15 +366,10 @@ def _render_columns(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str
 
 def _balance_table(result: BalanceResult) -> str:
     times = _effective_times(result.plan, result.allocation)
+    seats = result.allocation.stations
     rows = [
-        (
-            str(t.id),
-            t.description,
-            format_seconds(t.cycle_time),
-            str(result.allocation.stations[t.id]),
-            format_seconds(times[t.id]),
-        )
-        for t in result.plan.tasks
+        (str(t.id), t.description, format_seconds(t.cycle_time), str(seats[t.id]), format_seconds(ct))
+        for t, ct in zip(result.plan.tasks, times.values())
     ]
     table = _render_columns(
         ("task", "description", "cycle_time_sec", "stations", "effective_ct_sec"), rows
@@ -400,15 +411,7 @@ def _robust_table(r: RobustReport) -> str:
     rows = []
     for t in r.plan.tasks:
         iv = r.intervals[t.id]
-        rows.append(
-            (
-                str(t.id),
-                t.description,
-                format_seconds(iv.nominal),
-                format_seconds(iv.lo),
-                format_seconds(iv.hi),
-            )
-        )
+        rows.append((str(t.id), t.description, *map(format_seconds, (iv.nominal, iv.lo, iv.hi))))
     table = _render_columns(
         ("task", "description", "effective_ct", "ct_minus_dev", "ct_plus_dev"), rows
     )

@@ -151,15 +151,20 @@ class Allocation:
         return cls({t.id: 1 for t in plan.tasks})
 
 
-def _require_coverage(plan: ProcessPlan, allocation: Allocation) -> None:
-    missing = [t.id for t in plan.tasks if t.id not in allocation.stations]
+def _require_coverage(plan: ProcessPlan, entries: Allocation | dict) -> None:
+    """Every plan task, and no other, has an entry: in an Allocation, or in a
+    dict keyed by task id (a robust report's intervals)."""
+    if isinstance(entries, Allocation):
+        keys, what, verb = entries.stations, "allocation", "has"
+    else:
+        keys, what, verb = entries, "intervals", "have"
+    missing = [t.id for t in plan.tasks if t.id not in keys]
     if missing:
-        raise DomainError(f"allocation missing tasks: {missing}")
+        raise DomainError(f"{what} missing tasks: {missing}")
     # every plan id is present and the ids are unique, so any extra entry is foreign
-    if len(allocation.stations) > len(plan.tasks):
+    if len(keys) > len(plan.tasks):
         ids = set(plan.task_ids)
-        foreign = [i for i in allocation.stations if i not in ids]
-        raise DomainError(f"allocation has tasks the plan does not: {foreign}")
+        raise DomainError(f"{what} {verb} tasks the plan does not: {[i for i in keys if i not in ids]}")
 
 
 def _require_staffable(plan: ProcessPlan, allocation: Allocation) -> None:

@@ -13,16 +13,16 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .errors import DomainError
-from .metrics import _improvements, productivity_report, upph
+from .metrics import _improvements, upph
 from .model import Allocation, ProcessPlan, _effective_times, _require_coverage, as_fraction
 
 
 @dataclass(frozen=True)
 class CtInterval:
-    """An uncertain cycle time: nominal value with scaled deviation bounds.
-    Every construction, decoding included, checks in integers that alpha lies
-    in (0, 1], d_plus, d_minus >= 0 and lo = nominal - alpha*d_minus > 0,
-    hi = nominal + alpha*d_plus."""
+    """An uncertain cycle time: lo = nominal - alpha*d_minus > 0 and hi =
+    nominal + alpha*d_plus, with alpha in (0, 1] and d_plus, d_minus >= 0. A
+    plain record: _row/_widen build every interval under that rule, and
+    robust_line_report rebuilds through them any interval it is given."""
 
     nominal: Fraction
     lo: Fraction
@@ -30,27 +30,6 @@ class CtInterval:
     alpha: Fraction
     d_plus: Fraction
     d_minus: Fraction
-
-    def __post_init__(self):
-        for name in ("nominal", "lo", "hi", "alpha", "d_plus", "d_minus"):
-            value = getattr(self, name)
-            if type(value) is not Fraction:
-                object.__setattr__(self, name, as_fraction(value))
-        p, q = _alpha(self.alpha).as_integer_ratio()
-        n, d = self.nominal.as_integer_ratio()
-        cp, ep = self.d_plus.as_integer_ratio()
-        cm, em = self.d_minus.as_integer_ratio()
-        if cp < 0 or cm < 0:
-            raise DomainError("deviations must be >= 0")
-        lo_n, lo_d = n * q * em - p * cm * d, d * q * em
-        hi_n, hi_d = n * q * ep + p * cp * d, d * q * ep
-        lo, hi = self.lo, self.hi
-        if lo.numerator * lo_d != lo_n * lo.denominator or hi.numerator * hi_d != hi_n * hi.denominator:
-            raise DomainError(f"interval [{lo}, {hi}] is not {self.nominal} -/+ alpha*deviations")
-        if lo_n <= 0:
-            raise DomainError(
-                f"alpha*d_minus = {self.alpha * self.d_minus} swallows the nominal cycle time {self.nominal}"
-            )
 
 
 def _alpha(alpha) -> Fraction:
@@ -63,8 +42,8 @@ def _alpha(alpha) -> Fraction:
 
 def ct_interval(nominal, d_plus, d_minus, alpha) -> CtInterval:
     """Widen a nominal cycle time by alpha-scaled deviations."""
-    row = _row(None, as_fraction(nominal), d_plus, d_minus)
-    return _widen([row], as_fraction(alpha))[0][None]
+    alpha = _alpha(alpha)
+    return _widen([_row(None, as_fraction(nominal), d_plus, d_minus)], alpha)[0][None]
 
 
 Deviations = dict[int, tuple[Fraction, Fraction]]
@@ -95,6 +74,8 @@ def _row(task_id, nominal: Fraction, d_plus, d_minus) -> tuple:
     a, b = nominal.as_integer_ratio()
     cp, ep = d_plus.as_integer_ratio()
     cm, em = d_minus.as_integer_ratio()
+    if cp < 0 or cm < 0:
+        raise DomainError("deviations must be >= 0")
     return task_id, nominal, d_plus, d_minus, a * em, cm * b, b * em, a * ep, cp * b, b * ep
 
 
@@ -121,17 +102,17 @@ def _widen(rows, alpha: Fraction) -> tuple[dict, Fraction, Fraction]:
     """The deviation-interval rule at one alpha = p/q: each task's interval,
     lo = (a*e*q - p*c*b) / (b*e*q) and hi alike, and the line's best and worst
     paces by cross multiplication. Tasks share no common denominator, which
-    coprime ones would grow without bound."""
+    coprime ones would grow without bound. A band must keep lo > 0."""
     p, q = alpha.as_integer_ratio()
     out = {}
     best_n, best_d, worst_n, worst_d = 0, 1, 0, 1
     for task_id, nominal, d_plus, d_minus, ae_m, cb_m, be_m, ae_p, cb_p, be_p in rows:
         lo_n, lo_d = ae_m * q - p * cb_m, be_m * q
         hi_n, hi_d = ae_p * q + p * cb_p, be_p * q
-        try:
-            out[task_id] = CtInterval(nominal, Fraction(lo_n, lo_d), Fraction(hi_n, hi_d), alpha, d_plus, d_minus)
-        except DomainError as exc:
-            raise DomainError(f"task {task_id}: {exc}" if task_id else str(exc)) from None
+        if lo_n <= 0:
+            swallowed = f"alpha*d_minus = {alpha * d_minus} swallows the nominal cycle time {nominal}"
+            raise DomainError(f"task {task_id}: {swallowed}" if task_id else swallowed)
+        out[task_id] = CtInterval(nominal, Fraction(lo_n, lo_d), Fraction(hi_n, hi_d), alpha, d_plus, d_minus)
         if lo_n * best_d > best_n * lo_d:
             best_n, best_d = lo_n, lo_d
         if hi_n * worst_d > worst_n * hi_d:
@@ -175,28 +156,36 @@ def robust_line_report(
     allocation: Allocation,
     intervals: dict[int, CtInterval],
 ) -> RobustReport:
-    """Aggregate per-task intervals into line cycle-time and UPPH bounds."""
+    """Aggregate per-task intervals into line cycle-time and UPPH bounds. Each
+    interval is rebuilt by ct_interval, and one whose lo or hi differs from the
+    rebuilt band is rejected; the report keeps the rebuilt intervals."""
     _require_coverage(plan, allocation)
-    missing = [t.id for t in plan.tasks if t.id not in intervals]
-    if missing:
-        raise DomainError(f"intervals missing tasks: {missing}")
-    if len(intervals) > len(plan.tasks):
-        ids = set(plan.task_ids)
-        raise DomainError(f"intervals have tasks the plan does not: {[i for i in intervals if i not in ids]}")
-    ivs = intervals.values()
+    _require_coverage(plan, intervals)
+    rebuilt = {}
+    for t in plan.tasks:
+        given = intervals[t.id]
+        try:
+            rebuilt[t.id] = iv = ct_interval(given.nominal, given.d_plus, given.d_minus, given.alpha)
+            lo, hi = as_fraction(given.lo), as_fraction(given.hi)
+            if lo != iv.lo or hi != iv.hi:
+                raise DomainError(f"interval [{lo}, {hi}] is not {iv.nominal} -/+ alpha*deviations")
+        except DomainError as exc:
+            raise DomainError(f"task {t.id}: {exc}") from None
+    ivs = rebuilt.values()
     # equality, not a set: hashing a Fraction costs more than comparing two
-    alpha = intervals[plan.tasks[0].id].alpha
+    alpha = rebuilt[plan.tasks[0].id].alpha
     return _reports(plan, allocation, max(iv.nominal for iv in ivs))(
         alpha if all(iv.alpha == alpha for iv in ivs) else None,
-        dict(intervals),
+        rebuilt,
         max(iv.lo for iv in ivs),
         max(iv.hi for iv in ivs),
     )
 
 
 def _baseline_upph(plan: ProcessPlan) -> Fraction:
-    """UPPH of the unbalanced one-station-per-task line."""
-    return productivity_report(plan, Allocation.ones(plan)).upph
+    """UPPH of the unbalanced one-station-per-task line: the period over the
+    longest task time, per worker."""
+    return plan.period / max(t.cycle_time for t in plan.tasks) / len(plan.tasks)
 
 
 def _reports(plan: ProcessPlan, allocation: Allocation, regular: Fraction):

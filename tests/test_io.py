@@ -4,9 +4,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hangerline as hl
 from hangerline import DomainError, ParseError, SimConfig
+
+from .test_robust import _fields, _ref_ct_interval, _ref_report
 
 
 class TestBundledFixtures:
@@ -266,6 +269,36 @@ class TestReportRoundTrips:
         with pytest.raises(ParseError, match="^malformed robust report: "):
             hl.parse_report(json.dumps(data))
 
+    def test_robust_document_whose_line_figures_contradict_its_intervals_rejected(self):
+        tasks = hl.parse_tasks(
+            "task_id,description,cycle_time_sec,dev_plus_sec,dev_minus_sec\n1,a,30,1,1\n2,b,40,2,2\n"
+        )
+        plan = hl.ProcessPlan(tasks=tasks, seat_budget=4)
+        alloc = hl.greedy_balance(plan).allocation
+        report = hl.robust_line_report(plan, alloc, hl.effective_intervals(plan, alloc))
+        data = json.loads(hl.emit_report(report, "json"))
+        data.update(best="1", alpha="1/2", throughput_best=7)
+        with pytest.raises(
+            ParseError,
+            match=r"^malformed robust report: fields \['alpha', 'best', 'throughput_best'\] disagree",
+        ):
+            hl.parse_report(json.dumps(data))
+
+    def test_balance_document_over_budget_rejected(self, balanced):
+        data = hl.report_to_dict(balanced)
+        data["allocation"]["19"] = 99
+        data["line_cycle_time"] = "1"
+        with pytest.raises(
+            ParseError, match=r"^malformed balance report: allocation uses 130 stations, above the seat budget 32$"
+        ):
+            hl.report_from_dict(json.loads(json.dumps(data)))
+
+    def test_balance_document_with_a_wrong_line_cycle_time_rejected(self, balanced):
+        data = hl.report_to_dict(balanced)
+        data["line_cycle_time"] = "1"
+        with pytest.raises(ParseError, match=r"fields \['line_cycle_time'\] disagree with its inputs$"):
+            hl.report_from_dict(data)
+
     def test_simulation_document_with_release_key_parses(self, shirt_plan, balanced):
         # documents written before SimConfig lost its single-valued release knob
         run = hl.simulate(shirt_plan, balanced.allocation, SimConfig(horizon_s=600))
@@ -392,3 +425,103 @@ class TestPlotData:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "8414d903578d4b7af666525696c75deb89b85b17cd0eb2625cba9337be0e0256"
         )
+
+
+# ------------------------------------------------ one-field mutations
+#
+# A balance or robust document must decode to the report its own inputs
+# produce. Replace any one node of such a document (a leaf or a whole
+# container) with junk or a nearby value: decoding must raise ParseError or
+# give a report that the independent Fraction reference reproduces from the
+# decoded inputs. A figure the inputs determine (the line cycle time, a robust
+# line figure, an interval's lo or hi) may only decode back to the original.
+
+_SHIRT = hl.load_tasks(hl.fixture_path("shirt_main_assembly.csv"))
+_SHIRT_DEVIATIONS = hl.load_deviations(hl.fixture_path("shirt_deviations.csv"))
+_JUNK = st.sampled_from(
+    [None, True, 1.5, -1, 0, 1, "", "x", "0", "-1", "1/2", "1/0", "balance", "robust", [], {}, [1, "2"]]
+)
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _nearby(old):
+    if isinstance(old, bool) or not isinstance(old, (int, str)):
+        return _JUNK
+    if isinstance(old, int):
+        return st.one_of(_JUNK, st.integers(old - 3, old + 3))
+    try:
+        value = Fraction(old)
+    except (ValueError, ZeroDivisionError):
+        return st.one_of(_JUNK, st.text(max_size=3))
+    step = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    return st.one_of(_JUNK, step.map(lambda d: str(value + d)), st.just(str(value * 2)))
+
+
+@st.composite
+def _mutated_documents(draw):
+    if draw(st.booleans()):
+        plan, deviations = hl.ProcessPlan(tasks=_SHIRT, seat_budget=32), _SHIRT_DEVIATIONS
+    else:
+        n = draw(st.integers(1, 5))
+        times = draw(st.lists(st.fractions(5, 120, max_denominator=4), min_size=n, max_size=n))
+        plan = hl.ProcessPlan(
+            tasks=[hl.Task(id=i + 1, description=f"op {i + 1}", cycle_time=t) for i, t in enumerate(times)],
+            seat_budget=n + draw(st.integers(0, 6)),
+        )
+        deviations = None
+    balanced = hl.greedy_balance(plan)
+    if deviations is None:
+        share = st.fractions(0, Fraction(9, 10), max_denominator=10)
+        nominal = hl.effective_intervals(plan, balanced.allocation)
+        deviations = {tid: (draw(share) * iv.nominal, draw(share) * iv.nominal) for tid, iv in nominal.items()}
+    if draw(st.booleans()):
+        original = balanced
+    else:
+        alpha = draw(st.fractions(Fraction(1, 10), 1, max_denominator=10))
+        intervals = hl.effective_intervals(plan, balanced.allocation, alpha, deviations)
+        original = hl.robust_line_report(plan, balanced.allocation, intervals)
+    data = hl.report_to_dict(original)
+    path = draw(st.sampled_from(list(_paths(data))[1:]))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(_nearby(parent[path[-1]]))
+    return original, data, path
+
+
+def _determined(kind, path):
+    if kind == "balance":
+        return path[0] in ("line_cycle_time", "total_stations", "throughput_per_period")
+    if path[0] == "intervals":
+        return len(path) == 3 and path[2] in ("lo", "hi")
+    return path[0] not in ("plan", "allocation")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_mutated_documents())
+def test_one_field_mutation_is_rejected_or_consistent(case):
+    original, data, path = case
+    try:
+        decoded = hl.parse_report(json.dumps(data))
+    except ParseError:
+        return
+    kind = hl.report_to_dict(original)["kind"]
+    if _determined(kind, path):
+        assert decoded == original
+    plan, alloc = decoded.plan, decoded.allocation
+    assert set(alloc.stations) == set(plan.task_ids)
+    if kind == "balance":
+        assert alloc.total <= plan.seat_budget
+        assert decoded.line_cycle_time == max(t.cycle_time / alloc.stations[t.id] for t in plan.tasks)
+    else:
+        rebuilt = {
+            tid: _ref_ct_interval(iv.nominal, iv.d_plus, iv.d_minus, iv.alpha)
+            for tid, iv in decoded.intervals.items()
+        }
+        assert _fields(decoded) == _ref_report(plan, alloc, rebuilt)

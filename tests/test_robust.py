@@ -1,5 +1,6 @@
 """Interval uncertainty: per-task CT bands, line-level bounds, alpha sweeps."""
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hangerline as hl
-from hangerline import DomainError
+from hangerline import DomainError, ParseError
 
 from .test_model import make_plan
 
@@ -40,23 +41,70 @@ class TestCtInterval:
         with pytest.raises(DomainError):
             hl.ct_interval(Fraction(10), Fraction(0), Fraction(10), Fraction(1))
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("alpha", "7", r"alpha must lie in \(0, 1\], got 7"),
-        ("d_plus", "-3", "deviations must be >= 0"),
-        ("hi", "41", r"interval \[29, 41\] is not 30 -/\+ alpha\*deviations"),
-        ("lo", "28", r"interval \[28, 32\] is not 30 -/\+ alpha\*deviations"),
-        ("nominal", "31", r"interval \[29, 32\] is not 31 -/\+ alpha\*deviations"),
-        ("d_minus", "2", r"interval \[29, 32\] is not 30 -/\+ alpha\*deviations"),
-    ])
-    def test_constructor_checks_the_whole_rule(self, field, value, message):
-        fields = dict(nominal=30, lo=29, hi=32, alpha=1, d_plus=2, d_minus=1)
-        hl.CtInterval(**fields)
-        with pytest.raises(DomainError, match=message):
-            hl.CtInterval(**{**fields, field: Fraction(value)})
 
-    def test_constructor_rejects_a_band_reaching_zero(self):
-        with pytest.raises(DomainError, match=r"^alpha\*d_minus = 10 swallows the nominal cycle time 10$"):
-            hl.CtInterval(nominal=10, lo=0, hi=10, alpha=1, d_plus=0, d_minus=10)
+# The interval rule is checked where an interval enters from outside: by
+# robust_line_report, which rebuilds each interval it is given, and so by
+# decoding, which goes through it. Each tamper breaks one interval of a
+# one-task line; the message is the rule's, prefixed with the task.
+_GOOD = dict(nominal=30, lo=29, hi=32, alpha=1, d_plus=2, d_minus=1)
+_TAMPERS = [
+    ("alpha", "7", r"alpha must lie in \(0, 1\], got 7"),
+    ("d_plus", "-3", "deviations must be >= 0"),
+    ("hi", "41", r"interval \[29, 41\] is not 30 -/\+ alpha\*deviations"),
+    ("lo", "28", r"interval \[28, 32\] is not 30 -/\+ alpha\*deviations"),
+    ("nominal", "31", r"interval \[29, 32\] is not 31 -/\+ alpha\*deviations"),
+    ("d_minus", "2", r"interval \[29, 32\] is not 30 -/\+ alpha\*deviations"),
+]
+_ZERO_BAND = dict(nominal=10, lo=0, hi=10, alpha=1, d_plus=0, d_minus=10)
+_ZERO_MESSAGE = r"alpha\*d_minus = 10 swallows the nominal cycle time 10$"
+
+
+def _one_task_line():
+    plan = make_plan([30], 1)
+    return plan, hl.Allocation.ones(plan)
+
+
+def _report_document(tamper):
+    plan, alloc = _one_task_line()
+    report = hl.robust_line_report(plan, alloc, {1: hl.CtInterval(**_GOOD)})
+    data = json.loads(hl.emit_report(report, "json"))
+    assert hl.parse_report(json.dumps(data)) == report
+    data["intervals"]["1"].update(tamper)
+    return json.dumps(data)
+
+
+class TestIntervalsFromOutside:
+    @pytest.mark.parametrize("field, value, message", _TAMPERS, ids=[t[0] for t in _TAMPERS])
+    def test_report_rebuilds_a_given_interval(self, field, value, message):
+        plan, alloc = _one_task_line()
+        hl.robust_line_report(plan, alloc, {1: hl.CtInterval(**_GOOD)})
+        with pytest.raises(DomainError, match=f"^task 1: {message}"):
+            hl.robust_line_report(plan, alloc, {1: hl.CtInterval(**{**_GOOD, field: Fraction(value)})})
+
+    @pytest.mark.parametrize("field, value, message", _TAMPERS, ids=[t[0] for t in _TAMPERS])
+    def test_decoding_rebuilds_each_interval(self, field, value, message):
+        with pytest.raises(ParseError, match=f"^malformed robust report: task 1: {message}"):
+            hl.parse_report(_report_document({field: value}))
+
+    def test_report_rejects_a_band_reaching_zero(self):
+        plan, alloc = _one_task_line()
+        with pytest.raises(DomainError, match=f"^task 1: {_ZERO_MESSAGE}"):
+            hl.robust_line_report(plan, alloc, {1: hl.CtInterval(**_ZERO_BAND)})
+
+    def test_decoding_rejects_a_band_reaching_zero(self):
+        tamper = {k: str(v) for k, v in _ZERO_BAND.items()}
+        with pytest.raises(ParseError, match=f"^malformed robust report: task 1: {_ZERO_MESSAGE}"):
+            hl.parse_report(_report_document(tamper))
+
+    def test_string_fields_are_read_as_numbers(self):
+        # a hand-built record is not coerced on construction; the report's
+        # rebuilt intervals are exact Fractions all the same
+        plan, alloc = _one_task_line()
+        given = hl.CtInterval(**{k: str(v) for k, v in _GOOD.items()})
+        report = hl.robust_line_report(plan, alloc, {1: given})
+        assert report.intervals[1] == hl.ct_interval(30, 2, 1, 1)
+        assert all(type(v) is Fraction for v in vars(report.intervals[1]).values())
+        assert report == hl.robust_line_report(plan, alloc, {1: hl.CtInterval(**_GOOD)})
 
 
 class TestEffectiveIntervals:
