@@ -29,7 +29,7 @@ MAX_ALPHA_POINTS = 10_000
 # the largest --seats any subcommand accepts, about 3x the largest lines in
 # view (~3000 seats); balancing time grows with every seat
 MAX_SEATS = 10_000
-# the most stage visits plus WIP samples simulate takes on: ~10 s at ~200k visits/s
+# the most stage visits plus WIP samples simulate takes on: ~8 s at ~230k visits/s
 MAX_SIM_EVENTS = 2_000_000
 
 

@@ -230,7 +230,9 @@ def _frac_out(x):
 
 def _frac_in(raw):
     if isinstance(raw, str):
-        return Fraction(raw)
+        # "num/den" and integer strings as written; a decimal string takes the
+        # exponent bound of as_fraction, as Fraction would expand any exponent
+        return as_fraction(raw) if "." in raw or "e" in raw or "E" in raw else Fraction(raw)
     if type(raw) is int or (type(raw) is float and math.isfinite(raw)):
         return raw
     raise TypeError(f"expected a finite number or a 'num/den' string, got {raw!r}")
@@ -292,6 +294,8 @@ def _codec(hint):
         )
 
     def check(raw):
+        if origin is typing.Literal and raw not in args:
+            raise ValueError(f"expected one of {list(args)}, got {raw!r}")
         if hint in (int, str) and type(raw) is not hint:
             raise TypeError(f"expected {hint.__name__}, got {raw!r}")
         return raw

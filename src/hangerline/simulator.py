@@ -20,8 +20,17 @@ deviations describe the stage's effective time.
 With a queue_capacity set, a finished piece that finds the next queue full
 holds its server (blocking after service) until a slot opens.
 
-Event ordering is (time, stage index, piece id, kind, insertion sequence),
-so identical inputs replay to bit-identical results.
+Events are ordered by (time, stage index, piece id, kind). Two events that
+agree on all four are the same event, so their order cannot change the
+result, and identical inputs replay to bit-identical results. A service start
+runs in the step that frees its server or fills its queue. A START event is
+pushed only for the first release and where a queue slot opens, to wake the
+stage upstream and the loader. Starting in place gives the same run as
+pushing a START (t, i, 0) and popping it: the step that would push it has
+popped an ARRIVE or END (t, i, p) with piece p >= 1, so every pending event
+is at least that, and no START (t, i, 0), which sorts before it, is pending.
+The step itself pushes only an ARRIVE for stage i + 1. So the START would be
+the least event in the heap and would run next, on the state the step left.
 
 Time runs on one clock whose tick is 1/scale seconds, where scale is the
 least common multiple of the denominators of the horizon, warmup, transfer
@@ -156,6 +165,8 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
     horizon, warmup, delay, interval, *raw_time = (x.numerator * (scale // x.denominator) for x in exact)
     cap = config.queue_capacity
     window = config.horizon_s - config.warmup_s
+    # the loader's CONWIP limit on the front WIP
+    front_limit = (s[1] if cap is None else min(s[1], cap)) + s[0] - 1 if n > 1 else None
 
     queue: list[deque[int]] = [deque() for _ in range(n)]  # queue[0] stays unused (source)
     blocked: list[deque[int]] = [deque() for _ in range(n)]
@@ -168,17 +179,7 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
     completed = 0
 
     heap: list[tuple] = []
-    seq = 0
-
-    def push(time, stage, piece, kind):
-        nonlocal seq
-        seq += 1
-        heapq.heappush(heap, (time, stage, piece, kind, seq))
-
-    def service_time(i):
-        if uniform:
-            return rng.uniform(*bounds[i]) * scale
-        return raw_time[i]
+    push = heapq.heappush
 
     def clipped_span(t0, t1):
         a = t0 if t0 > warmup else warmup
@@ -187,29 +188,23 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
 
     def start_service(i, piece, t):
         servers_busy[i] += 1
-        dur = service_time(i)
+        dur = rng.uniform(*bounds[i]) * scale if uniform else raw_time[i]
         busy_time[i] += clipped_span(t, t + dur)
-        push(t + dur, i, piece, _END)
+        push(heap, (t + dur, i, piece, _END))
 
     def gate_open():
-        if n == 1:
-            return True
-        limit = s[1] if cap is None else min(s[1], cap)
-        return len(queue[1]) + inbound[1] + servers_busy[0] < limit + s[0] - 1
-
-    def room_in(j):
-        return cap is None or len(queue[j]) + inbound[j] < cap
+        return n == 1 or len(queue[1]) + inbound[1] + servers_busy[0] < front_limit
 
     def on_queue_pop(j, t):
         # a slot opened in queue[j]: wake a blocked upstream server, or the loader
         if blocked[j - 1]:
             piece = blocked[j - 1].popleft()
             inbound[j] += 1
-            push(t + delay, j, piece, _ARRIVE)
+            push(heap, (t + delay, j, piece, _ARRIVE))
             servers_busy[j - 1] -= 1
-            push(t, j - 1, 0, _START)
+            push(heap, (t, j - 1, 0, _START))
         if j == 1:
-            push(t, 0, 0, _START)
+            push(heap, (t, 0, 0, _START))
 
     def dispatch(i, t):
         nonlocal released
@@ -228,15 +223,14 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
             completed_total += 1
             if t > warmup:
                 completed += 1
-            servers_busy[i] -= 1
-            push(t, i, 0, _START)
-        elif room_in(i + 1):
+        elif cap is None or len(queue[i + 1]) + inbound[i + 1] < cap:
             inbound[i + 1] += 1
-            push(t + delay, i + 1, piece, _ARRIVE)
-            servers_busy[i] -= 1
-            push(t, i, 0, _START)
+            push(heap, (t + delay, i + 1, piece, _ARRIVE))
         else:
             blocked[i].append(piece)  # hold the server until a slot opens
+            return
+        servers_busy[i] -= 1
+        dispatch(i, t)
 
     def conserved_in_flight(t):
         in_flight = sum(len(q) for q in queue) + sum(servers_busy) + sum(inbound)
@@ -262,17 +256,17 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
         )
         nxt = t + interval
         if nxt <= horizon:
-            push(nxt, n, 0, _SAMPLE)
+            push(heap, (nxt, n, 0, _SAMPLE))
 
-    push(0, 0, 0, _START)
-    push(0, n, 0, _SAMPLE)
+    push(heap, (0, 0, 0, _START))
+    push(heap, (0, n, 0, _SAMPLE))
 
     while heap and heap[0][0] <= horizon:
-        t, stage, piece, kind, _ = heapq.heappop(heap)
+        t, stage, piece, kind = heapq.heappop(heap)
         if kind == _ARRIVE:
             inbound[stage] -= 1
             queue[stage].append(piece)
-            push(t, stage, 0, _START)
+            dispatch(stage, t)
         elif kind == _END:
             finish_service(stage, piece, t)
         elif kind == _START:

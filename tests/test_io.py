@@ -376,6 +376,30 @@ class TestReportRoundTrips:
         with pytest.raises(ParseError):
             hl.report_from_dict(data)
 
+    @pytest.mark.parametrize("raw", ["1e1000000", "1e999999999", "1e-101"])
+    def test_decimal_exponent_is_bounded(self, balanced, raw):
+        # a short field must not expand into a huge integer (1e999999999 hung)
+        data = hl.report_to_dict(balanced)
+        data["line_cycle_time"] = raw
+        with pytest.raises(ParseError, match=r"^malformed balance report: exponent of .* is outside \+/-100$"):
+            hl.report_from_dict(data)
+
+    @pytest.mark.parametrize("raw", ["40", "80/2", "40.0", "4e1", "4E+1"])
+    def test_fraction_strings_in_both_forms_parse(self, balanced, raw):
+        data = hl.report_to_dict(balanced)
+        data["line_cycle_time"] = raw
+        assert hl.report_from_dict(data) == balanced
+
+    @pytest.mark.parametrize("method", [None, "fastest"])
+    def test_method_must_be_a_known_one(self, balanced, method):
+        data = hl.report_to_dict(balanced)
+        data["method"] = method
+        with pytest.raises(
+            ParseError,
+            match=rf"^malformed balance report: expected one of \['greedy', 'optimal', 'exhaustive'\], got {method!r}$",
+        ):
+            hl.report_from_dict(data)
+
     def test_non_json_text_rejected(self):
         with pytest.raises(ParseError):
             hl.parse_report("not json at all")

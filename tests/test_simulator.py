@@ -1,13 +1,15 @@
 """Discrete-event simulation: throughput, WIP behavior, verification checks."""
+import collections
 import dataclasses
 import hashlib
+import heapq
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hangerline as hl
-from hangerline import DomainError, SimConfig
+from hangerline import DomainError, SimConfig, simulator
 
 from .test_model import make_plan
 
@@ -398,6 +400,18 @@ class TestExactClock:
         text = hl.emit_report(hl.simulate(plan, alloc, SimConfig(**config)), "json")
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_uniform_json_is_pinned(self, devs_plan):
+        # every service time is a draw, so the digest also pins the order of
+        # the draws: blocking and transfers must start pieces in the same order
+        alloc = hl.greedy_balance(devs_plan).allocation
+        cfg = SimConfig(
+            horizon_s=hours(2), warmup_s=hours(1), service_model="uniform", seed=7,
+            queue_capacity=2, transfer_delay_s=Fraction(3, 2),
+        )
+        text = hl.emit_report(hl.simulate(devs_plan, alloc, cfg), "json")
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "5e31b0b251b0eaf10c79243845f8dc77bf2e6c163ae6d3de317376c921f49d6b")
+
     def test_uniform_samples_sit_on_the_exact_grid(self, devs_plan):
         alloc = hl.greedy_balance(devs_plan).allocation
         cfg = SimConfig(
@@ -407,6 +421,28 @@ class TestExactClock:
         times = [s.time for s in hl.simulate(devs_plan, alloc, cfg).wip_timeseries]
         assert times == [k * Fraction(7, 3) for k in range(len(times))]
         assert times[-1] == Fraction(21595, 3)
+
+
+def test_heap_pushes_are_pinned(monkeypatch, shirt_plan, balanced):
+    # a service start runs in the step that frees its server or fills its
+    # queue; a START event is pushed only for the first release and where a
+    # queue slot opens, to wake the stage upstream and the loader
+    kinds = collections.Counter()
+
+    class CountingHeap:
+        heappop = staticmethod(heapq.heappop)
+
+        @staticmethod
+        def heappush(heap, item):
+            kinds[item[3]] += 1
+            heapq.heappush(heap, item)
+
+    monkeypatch.setattr(simulator, "heapq", CountingHeap)
+    hl.simulate(shirt_plan, balanced.allocation, SimConfig(horizon_s=hours(9), warmup_s=hours(1)))
+    assert kinds == {
+        simulator._ARRIVE: 14_371, simulator._END: 15_182, simulator._START: 811, simulator._SAMPLE: 541,
+    }
+    assert kinds.total() == 30_905
 
 
 @st.composite
