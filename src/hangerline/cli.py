@@ -109,18 +109,18 @@ def cmd_simulate(args) -> int:
     tolerance = _number("--tol", args.tol, _tolerance) if args.verify else None
     balanced = greedy_balance(plan)
     allocation = balanced.allocation
-    horizon = _number("--hours", args.hours) * SECONDS_PER_HOUR
-    # pieces through every stage at the balanced pace, plus a WIP sample a minute
-    events = math.ceil(horizon / balanced.line_cycle_time) * len(plan.tasks) + horizon // 60
-    if events > MAX_SIM_EVENTS:
-        raise DomainError(f"--hours {args.hours} needs {events} events, above the limit of {MAX_SIM_EVENTS}")
     config = SimConfig(
-        horizon_s=horizon,
+        horizon_s=_number("--hours", args.hours) * SECONDS_PER_HOUR,
         warmup_s=_number("--warmup", args.warmup) * SECONDS_PER_HOUR,
         service_model=args.service,
         seed=args.seed,
         queue_capacity=args.queue_cap,
     )
+    # pieces through every stage at the balanced pace, plus the WIP samples
+    visits = math.ceil(config.horizon_s / balanced.line_cycle_time) * len(plan.tasks)
+    events = visits + config.horizon_s // config.sample_interval_s
+    if events > MAX_SIM_EVENTS:
+        raise DomainError(f"--hours {args.hours} needs {events} events, above the limit of {MAX_SIM_EVENTS}")
     result = simulate(plan, allocation, config)
     sys.stdout.write(emit_report(result, "table"))
     if args.verify:

@@ -17,7 +17,6 @@ import math
 import types
 import typing
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .balancer import BalanceResult
@@ -79,49 +78,48 @@ def format_number(x) -> str:
 # ------------------------------------------------------------------- parsing
 
 def _read_rows(text: str, required, allowed, what: str) -> list[tuple[int, int, dict]]:
-    """Check the header of CSV text, then return (row number, task id, cells)
-    for each data row. Cells are stripped, ids checked to be unique, and the
-    seconds columns (*_sec) parsed to Fractions; an empty optional one is 0."""
-    reader = csv.DictReader(_stringio.StringIO(text))
-    if reader.fieldnames is None:
-        raise ParseError(f"empty file: expected a {what} table header row", row=1)
-    names = [n.strip() for n in reader.fieldnames]
-    missing = [c for c in required if c not in names]
-    if missing:
-        raise ParseError(f"header is missing columns {missing}", row=1)
-    unknown = [n for n in names if n not in allowed]
-    if unknown:
-        raise ParseError(f"header has unknown columns {unknown}", row=1)
-    if len(set(names)) != len(names):
-        raise ParseError("header repeats a column", row=1)
-
-    rows = []
-    seen: set[int] = set()
-    row = 1
-    for record in reader:
-        row += 1
-        cells = {
-            (k.strip() if k else k): (v.strip() if isinstance(v, str) else v)
-            for k, v in record.items()
-        }
-        if None in cells or any(v is None for v in cells.values()):
-            raise ParseError("row has a different number of cells than the header", row=row)
-        raw_id = cells["task_id"]
-        # isdigit alone also accepts digits such as "²" that int() rejects
-        if not (raw_id.isascii() and raw_id.isdigit()):
-            raise ParseError(f"task_id must be a positive integer, got {raw_id!r}", row=row)
-        task_id = int(raw_id)
-        if task_id in seen:
-            raise ParseError(f"duplicate task id {task_id}", row=row)
-        seen.add(task_id)
-        for column, raw in cells.items():
-            if not column.endswith("_sec"):
-                continue
-            try:
-                cells[column] = as_fraction(raw if raw or column in required else 0)
-            except DomainError as exc:
-                raise ParseError(f"column {column!r}: {exc}", row=row) from None
-        rows.append((row, task_id, cells))
+    """Check the header of CSV text, then return (file line, task id, cells) for
+    each non-blank data row. Cells are stripped, ids checked to be unique, and
+    *_sec cells parsed to Fractions; an empty optional one is 0."""
+    reader = csv.reader(_stringio.StringIO(text))
+    try:
+        names = next(reader, None)
+        if names is None:
+            raise ParseError(f"empty file: expected a {what} table header row", row=1)
+        names = [n.strip() for n in names]
+        missing = [c for c in required if c not in names]
+        if missing:
+            raise ParseError(f"header is missing columns {missing}", row=1)
+        unknown = [n for n in names if n not in allowed]
+        if unknown:
+            raise ParseError(f"header has unknown columns {unknown}", row=1)
+        if len(set(names)) != len(names):
+            raise ParseError("header repeats a column", row=1)
+        rows = []
+        seen: set[int] = set()
+        for record in filter(None, reader):
+            row = reader.line_num
+            if len(record) != len(names):
+                raise ParseError("row has a different number of cells than the header", row=row)
+            cells = dict(zip(names, (v.strip() for v in record)))
+            raw_id = cells["task_id"]
+            # isdigit alone also accepts digits such as "²" that int() rejects
+            if not (raw_id.isascii() and raw_id.isdigit()):
+                raise ParseError(f"task_id must be a positive integer, got {raw_id!r}", row=row)
+            task_id = int(raw_id)
+            if task_id in seen:
+                raise ParseError(f"duplicate task id {task_id}", row=row)
+            seen.add(task_id)
+            for column, raw in cells.items():
+                if not column.endswith("_sec"):
+                    continue
+                try:
+                    cells[column] = as_fraction(raw if raw or column in required else 0)
+                except DomainError as exc:
+                    raise ParseError(f"column {column!r}: {exc}", row=row) from None
+            rows.append((row, task_id, cells))
+    except csv.Error as exc:
+        raise ParseError(f"not valid CSV: {exc}", row=reader.line_num) from None
 
     if not rows:
         raise ParseError(f"file contains a header but no {what} rows", row=1)
@@ -198,10 +196,10 @@ def load_deviations(path) -> dict[int, tuple[Fraction, Fraction]]:
 
 def fixture_path(name: str) -> Path:
     """Path of a bundled example dataset (see the data/ directory)."""
-    candidate = resources.files(__package__).joinpath("data").joinpath(name)
-    if not candidate.is_file():
+    path = Path(__file__).with_name("data") / name
+    if not path.is_file():
         raise DomainError(f"no bundled fixture named {name!r}")
-    return Path(str(candidate))
+    return path
 
 
 # ------------------------------------------------------- JSON serialization
@@ -210,16 +208,8 @@ def fixture_path(name: str) -> Path:
 # one key per field, in field order, following the field's type hint. Fractions
 # become "num/den" strings; floats (uniform-mode utilizations) stay numbers.
 # Dicts keyed by task id get string keys. An Allocation is written as its
-# station map alone.
+# station map alone. The report kinds are listed in _REPORTS, after the tables.
 
-_KINDS = {
-    BalanceResult: "balance",
-    ProductivityReport: "productivity",
-    Comparison: "comparison",
-    RobustReport: "robust",
-    SimResult: "simulation",
-}
-_KIND_TYPES = {kind: cls for cls, kind in _KINDS.items()}
 # field name -> JSON key, where the two differ
 _KEYS = {"line_ct_regular": "regular", "line_ct_best": "best", "line_ct_worst": "worst"}
 
@@ -239,7 +229,7 @@ def _frac_in(raw):
 
 
 def _dataclass_codec(cls):
-    kind = _KINDS.get(cls)
+    tag = {"kind": _REPORTS[cls].kind} if cls in _REPORTS else {}
     hints = typing.get_type_hints(cls)
     fields = [
         (f.name, _KEYS.get(f.name, f.name), *_codec(hints[f.name]))
@@ -247,7 +237,7 @@ def _dataclass_codec(cls):
     ]
 
     def encode(obj):
-        out = {} if kind is None else {"kind": kind}
+        out = dict(tag)
         for name, key, enc, _ in fields:
             out[key] = enc(getattr(obj, name))
         return out
@@ -305,49 +295,41 @@ def _codec(hint):
 
 def report_to_dict(result) -> dict:
     """Plain-data form of any report object, tagged with its kind."""
-    if type(result) not in _KINDS:
+    entry = _REPORTS.get(type(result))
+    if entry is None:
         raise DomainError(f"cannot serialize {type(result).__name__}")
-    out = _codec(type(result))[0](result)
-    if isinstance(result, BalanceResult):  # derived keys, ignored when read back
-        out["total_stations"] = result.total_stations
-        out["throughput_per_period"] = str(throughput(result.line_cycle_time, result.plan.period))
-    return out
+    return {**_codec(type(result))[0](result), **entry.derived(result)}
 
 
 def report_from_dict(data: dict):
     """Inverse of report_to_dict. A balance or robust document must hold the
-    report its own inputs produce (a balance's iterations are not rerun)."""
+    report its own inputs produce (a balance's iterations are not rerun), and
+    a derived key it states must equal the rebuilt value as a number."""
     try:
         kind = data["kind"]
     except (KeyError, TypeError):
         raise ParseError("report document has no 'kind' tag") from None
-    cls = _KIND_TYPES.get(kind) if isinstance(kind, str) else None
+    cls, entry = next(((c, e) for c, e in _REPORTS.items() if e.kind == kind), (None, None))
     if cls is None:
         raise ParseError(f"unknown report kind {kind!r}")
     try:
         report = _codec(cls)[1](data)
-        if cls is BalanceResult:
-            _require_staffable(report.plan, report.allocation)
-            ct = line_cycle_time(report.plan, report.allocation)
-            derived = dataclasses.replace(report, line_cycle_time=ct)
-        elif cls is RobustReport:
-            derived = robust_line_report(report.plan, report.allocation, report.intervals)
-        else:
-            return report
+        rebuilt = entry.rebuild(report)
+        names = [f.name for f in dataclasses.fields(cls)]
+        wrong = [_KEYS.get(n, n) for n in names if getattr(rebuilt, n) != getattr(report, n)]
+        wrong += [k for k, v in entry.derived(rebuilt).items() if _frac_in(data.get(k, v)) != _frac_in(v)]
     except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed {kind} report: {exc}") from None
-    names = [f.name for f in dataclasses.fields(cls)]
-    wrong = [_KEYS.get(n, n) for n in names if getattr(derived, n) != getattr(report, n)]
     if wrong:
         raise ParseError(f"malformed {kind} report: fields {wrong} disagree with its inputs")
-    return derived
+    return rebuilt
 
 
 def parse_report(text: str):
     """Parse an emit_report(..., format='json') document back into its object."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int past the digit limit
         raise ParseError(f"not valid JSON: {exc}") from None
     return report_from_dict(data)
 
@@ -469,12 +451,29 @@ def _sim_table(r: SimResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TABLES = {
-    BalanceResult: _balance_table,
-    ProductivityReport: lambda r: _productivity_line("line", r),
-    Comparison: _comparison_table,
-    RobustReport: _robust_table,
-    SimResult: _sim_table,
+def _rebuild_balance(r: BalanceResult) -> BalanceResult:
+    _require_staffable(r.plan, r.allocation)
+    return dataclasses.replace(r, line_cycle_time=line_cycle_time(r.plan, r.allocation))
+
+
+class _Kind(typing.NamedTuple):
+    kind: str  # the JSON tag
+    table: typing.Callable
+    rebuild: typing.Callable = lambda r: r  # the report a decoded document must equal
+    derived: typing.Callable = lambda r: {}  # keys written after the fields, checked where stated
+
+
+_REPORTS = {
+    BalanceResult: _Kind("balance", _balance_table, _rebuild_balance, lambda r: {
+        "total_stations": r.total_stations,
+        "throughput_per_period": str(throughput(r.line_cycle_time, r.plan.period)),
+    }),
+    ProductivityReport: _Kind("productivity", lambda r: _productivity_line("line", r)),
+    Comparison: _Kind("comparison", _comparison_table),
+    RobustReport: _Kind(
+        "robust", _robust_table, lambda r: robust_line_report(r.plan, r.allocation, r.intervals)
+    ),
+    SimResult: _Kind("simulation", _sim_table),
 }
 
 
@@ -484,10 +483,9 @@ def emit_report(result, format: str = "table") -> str:
         return json.dumps(report_to_dict(result), indent=2) + "\n"
     if format != "table":
         raise DomainError(f"format must be 'table' or 'json', got {format!r}")
-    render = _TABLES.get(type(result))
-    if render is None:
+    if type(result) not in _REPORTS:
         raise DomainError(f"cannot render {type(result).__name__}")
-    return render(result)
+    return _REPORTS[type(result)].table(result)
 
 
 def emit_plot_data(sweep) -> str:

@@ -157,9 +157,9 @@ def robust_line_report(
     intervals: dict[int, CtInterval],
 ) -> RobustReport:
     """Aggregate per-task intervals into line cycle-time and UPPH bounds. Each
-    interval is rebuilt by ct_interval, and one whose lo or hi differs from the
-    rebuilt band is rejected; the report keeps the rebuilt intervals."""
-    _require_coverage(plan, allocation)
+    interval is rebuilt by ct_interval, and rejected unless it matches the rebuilt
+    band and its nominal is t_i/s_i; the report keeps the rebuilt intervals."""
+    times = _effective_times(plan, allocation)
     _require_coverage(plan, intervals)
     rebuilt = {}
     for t in plan.tasks:
@@ -169,12 +169,14 @@ def robust_line_report(
             lo, hi = as_fraction(given.lo), as_fraction(given.hi)
             if lo != iv.lo or hi != iv.hi:
                 raise DomainError(f"interval [{lo}, {hi}] is not {iv.nominal} -/+ alpha*deviations")
+            if iv.nominal != times[t.id]:
+                raise DomainError(f"nominal {iv.nominal} is not the effective cycle time {times[t.id]}")
         except DomainError as exc:
             raise DomainError(f"task {t.id}: {exc}") from None
     ivs = rebuilt.values()
     # equality, not a set: hashing a Fraction costs more than comparing two
     alpha = rebuilt[plan.tasks[0].id].alpha
-    return _reports(plan, allocation, max(iv.nominal for iv in ivs))(
+    return _reports(plan, allocation, max(times.values()))(
         alpha if all(iv.alpha == alpha for iv in ivs) else None,
         rebuilt,
         max(iv.lo for iv in ivs),

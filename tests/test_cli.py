@@ -166,6 +166,18 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("spec, message", [
+        ("0.1:1:0", "--alphas step must be > 0"),
+        ("0.1:1:-0.1", "--alphas step must be > 0"),
+        ("1:0.5:0.1", "--alphas start must not exceed stop"),
+    ])
+    def test_grid_without_points_exits_2(self, capsys, tasks_csv_path, deviations_csv_path, spec, message):
+        code, out, err = run(
+            capsys, "sweep", "--tasks", tasks_csv_path, "--seats", "32",
+            "--deviations", deviations_csv_path, "--alphas", spec,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestSimulate:
     def test_deterministic_run_with_verify(self, capsys, tasks_csv_path):
@@ -266,6 +278,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "balance", "--tasks", str(bad), "--seats", "4")
         assert code == 2
         assert "row 2" in err
+
+    def test_cell_above_the_csv_field_limit_exits_2(self, capsys, tmp_path):
+        # csv refuses a field longer than 131,072 characters
+        bad = tmp_path / "long.csv"
+        bad.write_text(f"task_id,description,cycle_time_sec\n1,a,30\n\n2,{'x' * 200_000},40\n")
+        code, out, err = run(capsys, "balance", "--tasks", str(bad), "--seats", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: row 4: not valid CSV: field larger than field limit")
+        assert "Traceback" not in err
+
+    def test_invariant_failure_exits_4(self, capsys, tasks_csv_path, monkeypatch):
+        def broken(plan, target_ct=None):
+            raise hl.InvariantError("line cycle time drifted")
+
+        monkeypatch.setattr(cli, "greedy_balance", broken)
+        code, out, err = run(capsys, "balance", "--tasks", tasks_csv_path, "--seats", "32")
+        assert (code, out, err) == (4, "", "internal error: line cycle time drifted\n")
 
     def test_non_finite_cell_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "nan.csv"

@@ -72,6 +72,28 @@ class TestParseTasks:
         assert exc.value.row == 3
         assert "row 3" in str(exc.value)
 
+    def test_repeated_header_column_rejected(self):
+        with pytest.raises(ParseError, match="^row 1: header repeats a column$"):
+            hl.parse_tasks("task_id,description,cycle_time_sec,task_id\n1,x,5,1\n")
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1,ok,30\n2,short\n", 3, "row has a different number of cells than the header"),
+        ("1,long,30,7\n", 2, "row has a different number of cells than the header"),
+        ("1,ok,30\n\n2,short\n", 4, "row has a different number of cells than the header"),
+        ("1,ok,30\n\n2,bad,thirty\n", 4, "column 'cycle_time_sec'"),
+        ('1,"two\nlines",30\n2,bad,thirty\n', 4, "column 'cycle_time_sec'"),
+        (f"1,ok,30\n2,{'x' * 140_000},5\n", 3, "not valid CSV: field larger than field limit"),
+    ], ids=["short", "long", "short-after-blank", "bad-after-blank", "bad-after-quoted-newline", "huge-cell"])
+    def test_errors_cite_the_line_in_the_file(self, text, line, message):
+        # blank lines are skipped but counted, as is each line of a quoted cell
+        with pytest.raises(ParseError, match=f"^row {line}: {message}") as exc:
+            hl.parse_tasks("task_id,description,cycle_time_sec\n" + text)
+        assert exc.value.row == line
+
+    def test_blank_lines_are_skipped(self):
+        tasks = hl.parse_tasks("task_id,description,cycle_time_sec\n\n1,a,30\n\n\n2,b,40\n\n")
+        assert [t.id for t in tasks] == [1, 2]
+
     def test_non_integer_id_rejected(self):
         with pytest.raises(ParseError) as exc:
             hl.parse_tasks("task_id,description,cycle_time_sec\n1.5,x,5\n")
@@ -293,6 +315,25 @@ class TestReportRoundTrips:
         ):
             hl.report_from_dict(json.loads(json.dumps(data)))
 
+    def test_balance_document_with_wrong_derived_keys_rejected(self, balanced):
+        data = hl.report_to_dict(balanced)
+        data.update(throughput_per_period="999", total_stations=7)
+        with pytest.raises(
+            ParseError,
+            match=r"^malformed balance report: fields \['total_stations', 'throughput_per_period'\] disagree",
+        ):
+            hl.report_from_dict(data)
+
+    @pytest.mark.parametrize("stated", [
+        {},
+        {"throughput_per_period": "90/1"},
+        {"throughput_per_period": "90.0", "total_stations": 32},
+    ])
+    def test_balance_derived_keys_are_numbers_and_optional(self, balanced, stated):
+        derived = ("total_stations", "throughput_per_period")
+        data = {k: v for k, v in hl.report_to_dict(balanced).items() if k not in derived}
+        assert hl.report_from_dict({**data, **stated}) == balanced
+
     def test_balance_document_with_a_wrong_line_cycle_time_rejected(self, balanced):
         data = hl.report_to_dict(balanced)
         data["line_cycle_time"] = "1"
@@ -404,6 +445,22 @@ class TestReportRoundTrips:
         with pytest.raises(ParseError):
             hl.parse_report("not json at all")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000, "maximum recursion depth"),
+        ('{"kind": "balance", "iterations": ' + "1" * 5000 + "}", "Exceeds the limit"),
+    ], ids=["deep", "long-integer"])
+    def test_json_the_decoder_refuses_rejected(self, text, message):
+        with pytest.raises(ParseError, match=f"^not valid JSON: {message}"):
+            hl.parse_report(text)
+
+    def test_non_report_object_rejected(self):
+        with pytest.raises(DomainError, match="^cannot serialize Task$"):
+            hl.report_to_dict(hl.Task(id=1, description="x", cycle_time=5))
+        with pytest.raises(DomainError, match="^cannot serialize dict$"):
+            hl.emit_report({}, format="json")
+        with pytest.raises(DomainError, match="^cannot render dict$"):
+            hl.emit_report({})
+
 
 class TestEmitReport:
     def test_balance_table_mentions_the_pace(self, balanced):
@@ -429,6 +486,10 @@ class TestEmitReport:
 
 
 class TestPlotData:
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(DomainError, match="^sweep is empty$"):
+            hl.emit_plot_data(())
+
     def test_sweep_csv_shape(self, devs_plan):
         alloc = hl.greedy_balance(devs_plan).allocation
         sweep = hl.alpha_sweep(

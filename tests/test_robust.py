@@ -107,6 +107,25 @@ class TestIntervalsFromOutside:
         assert report == hl.robust_line_report(plan, alloc, {1: hl.CtInterval(**_GOOD)})
 
 
+    def test_nominal_must_be_the_allocation_pace(self, shirt_plan, balanced, deviations):
+        # every band rebuilt around ten times its t_i/s_i is consistent in
+        # itself, but the allocation paces the line at 40 s, not 400 s
+        alloc = balanced.allocation
+        scaled = {
+            tid: hl.ct_interval(10 * iv.nominal, iv.d_plus, iv.d_minus, iv.alpha)
+            for tid, iv in hl.effective_intervals(shirt_plan, alloc, 1, deviations).items()
+        }
+        message = "task 19: nominal 300 is not the effective cycle time 30"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            hl.robust_line_report(shirt_plan, alloc, scaled)
+        # the document a report built on those bands would write, figures from the reference
+        fields = {**_ref_report(shirt_plan, alloc, _as_tuples(scaled)), "intervals": scaled}
+        forged = hl.RobustReport(plan=shirt_plan, allocation=alloc, **fields)
+        assert "regular 400," in hl.emit_report(forged)
+        with pytest.raises(ParseError, match=f"^malformed robust report: {message}$"):
+            hl.parse_report(hl.emit_report(forged, "json"))
+
+
 class TestEffectiveIntervals:
     def test_deviations_apply_after_allocation(self, shirt_plan, balanced, deviations):
         intervals = hl.effective_intervals(

@@ -232,6 +232,13 @@ class TestQueueTrend:
         with pytest.raises(DomainError):
             hl.queue_trend(result, 19)
 
+    def test_one_sample_after_the_warmup_rejected(self):
+        # samples every 60 s: only the one at 600 s falls after a 590 s warmup
+        plan = make_plan([30, 40], 2)
+        result = hl.simulate(plan, hl.Allocation.ones(plan), SimConfig(horizon_s=600, warmup_s=590))
+        with pytest.raises(DomainError, match="^need at least two samples after the warmup"):
+            hl.queue_trend(result, 2)
+
 
 class TestConfigValidation:
     def test_bad_values_rejected(self):
@@ -253,6 +260,8 @@ class TestConfigValidation:
             SimConfig(horizon_s=100, alpha=Fraction(3, 2))
         with pytest.raises(DomainError):
             SimConfig(horizon_s=100, sample_interval_s=0)
+        with pytest.raises(DomainError, match="^transfer delay must be >= 0$"):
+            SimConfig(horizon_s=100, transfer_delay_s=-1)
 
     def test_uniform_band_must_stay_positive(self):
         # one task, two stations: raw band 10 +/- 2*6 dips below zero
