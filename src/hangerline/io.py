@@ -106,7 +106,10 @@ def _read_rows(text: str, required, allowed, what: str) -> list[tuple[int, int, 
             # isdigit alone also accepts digits such as "²" that int() rejects
             if not (raw_id.isascii() and raw_id.isdigit()):
                 raise ParseError(f"task_id must be a positive integer, got {raw_id!r}", row=row)
-            task_id = int(raw_id)
+            try:
+                task_id = int(raw_id)
+            except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+                raise ParseError(f"task_id has {len(raw_id)} digits, too many to read", row=row) from None
             if task_id in seen:
                 raise ParseError(f"duplicate task id {task_id}", row=row)
             seen.add(task_id)
@@ -195,27 +198,39 @@ def load_deviations(path) -> dict[int, tuple[Fraction, Fraction]]:
 
 
 def fixture_path(name: str) -> Path:
-    """Path of a bundled example dataset (see the data/ directory)."""
+    """Path of a bundled example dataset: a plain file name in the data/ directory."""
     path = Path(__file__).with_name("data") / name
-    if not path.is_file():
+    if Path(name).name != name or not path.is_file():
         raise DomainError(f"no bundled fixture named {name!r}")
     return path
 
 
 # ------------------------------------------------------- JSON serialization
 #
-# One codec serves every report: each dataclass is written as an object with
-# one key per field, in field order, following the field's type hint. Fractions
-# become "num/den" strings; floats (uniform-mode utilizations) stay numbers.
-# Dicts keyed by task id get string keys. An Allocation is written as its
-# station map alone. The report kinds are listed in _REPORTS, after the tables.
+# One writer serves every report: _codec(hint) gives write(x, ind), which
+# returns x's JSON text nested at ind ("\n" plus the enclosing spaces), byte for
+# byte as json.dumps(indent=2) writes the plain data, which is never built. A
+# dataclass is an object: "kind" first for a report kind (see _REPORTS, after
+# the tables), one key per field in field order, then the kind's derived keys.
+# Fractions become "num/den" strings; floats (uniform-mode utilizations) stay
+# numbers. Dicts keyed by task id get string keys, an int-valued one in a single
+# comprehension; an Allocation is its station map. report_to_dict reads it back.
 
 # field name -> JSON key, where the two differ
 _KEYS = {"line_ct_regular": "regular", "line_ct_best": "best", "line_ct_worst": "worst"}
+_str = json.encoder.encode_basestring_ascii  # what json.dumps writes for a str
 
 
-def _frac_out(x):
-    return x if isinstance(x, float) else str(x)
+def _layout(brackets: str, items: list[str], ind: str) -> str:
+    """A container as json.dumps(indent=2) writes it, around items nested below ind."""
+    if not items:
+        return brackets
+    inner = ind + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + ind + brackets[1]
+
+
+def _frac_out(x, ind):
+    return json.dumps(x) if isinstance(x, float) else f'"{x}"'
 
 
 def _frac_in(raw):
@@ -229,57 +244,72 @@ def _frac_in(raw):
 
 
 def _dataclass_codec(cls):
-    tag = {"kind": _REPORTS[cls].kind} if cls in _REPORTS else {}
+    entry = _REPORTS.get(cls)
+    head = [f'"kind": {_str(entry.kind)}'] if entry else []
     hints = typing.get_type_hints(cls)
     fields = [
         (f.name, _KEYS.get(f.name, f.name), *_codec(hints[f.name]))
         for f in dataclasses.fields(cls)
     ]
+    written = [(name, _str(key) + ": ", w) for name, key, w, _ in fields]
 
-    def encode(obj):
-        out = dict(tag)
-        for name, key, enc, _ in fields:
-            out[key] = enc(getattr(obj, name))
-        return out
+    def write(obj, ind):
+        inner = ind + "  "
+        items = head + [key + w(getattr(obj, name), inner) for name, key, w in written]
+        if entry:
+            items += [f"{_str(k)}: {json.dumps(v)}" for k, v in entry.derived(obj).items()]
+        return _layout("{}", items, ind)
 
     def decode(raw):
         return cls(**{name: dec(raw[key]) for name, key, _, dec in fields})
 
-    return encode, decode
+    return write, decode
 
 
 @functools.cache
 def _codec(hint):
-    """(encode, decode) for values of type `hint`. decode raises KeyError,
+    """(write, decode) for values of type `hint`. decode raises KeyError,
     TypeError, ValueError, AttributeError or ZeroDivisionError on bad data."""
     if hint is Fraction:
         return _frac_out, _frac_in
     if hint is Allocation:
-        enc, dec = _codec(dict[int, int])
-        return (lambda a: enc(a.stations)), (lambda raw: Allocation(dec(raw)))
+        w, dec = _codec(dict[int, int])
+        return (lambda a, ind: w(a.stations, ind)), (lambda raw: Allocation(dec(raw)))
     if dataclasses.is_dataclass(hint):
         return _dataclass_codec(hint)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         (inner,) = (a for a in args if a is not type(None))
-        enc, dec = _codec(inner)
+        w, dec = _codec(inner)
         return (
-            lambda x: None if x is None else enc(x),
+            lambda x, ind: "null" if x is None else w(x, ind),
             lambda raw: None if raw is None else dec(raw),
         )
+    if origin is dict and args[1] is int:
+        _, check = _codec(int)
+
+        def decode_ints(raw):
+            if {*map(type, raw.values())} - {int}:
+                [*map(check, raw.values())]  # raises, naming the first stray value
+            return {int(k): v for k, v in raw.items()}
+
+        return (lambda d, ind: _layout("{}", [f'"{k}": {v}' for k, v in d.items()], ind)), decode_ints
     if origin is dict:
-        enc, dec = _codec(args[1])
+        w, dec = _codec(args[1])
         return (
-            lambda d: {str(k): enc(v) for k, v in d.items()},
+            lambda d, ind: _layout("{}", [f'"{k}": {w(v, ind + "  ")}' for k, v in d.items()], ind),
             lambda raw: {int(k): dec(v) for k, v in raw.items()},
         )
     if origin is tuple and args[-1] is Ellipsis:
-        enc, dec = _codec(args[0])
-        return (lambda xs: [enc(x) for x in xs]), (lambda raw: tuple(dec(x) for x in raw))
+        w, dec = _codec(args[0])
+        return (
+            lambda xs, ind: _layout("[]", [w(x, ind + "  ") for x in xs], ind),
+            lambda raw: tuple(dec(x) for x in raw),
+        )
     if origin is tuple:
         codecs = [_codec(a) for a in args]
         return (
-            lambda xs: [enc(x) for (enc, _), x in zip(codecs, xs)],
+            lambda xs, ind: _layout("[]", [w(x, ind + "  ") for (w, _), x in zip(codecs, xs)], ind),
             lambda raw: tuple(dec(x) for (_, dec), x in zip(codecs, raw, strict=True)),
         )
 
@@ -290,15 +320,12 @@ def _codec(hint):
             raise TypeError(f"expected {hint.__name__}, got {raw!r}")
         return raw
 
-    return (lambda x: x), check
+    return (lambda x, ind: repr(x) if hint is int else _str(x)), check
 
 
 def report_to_dict(result) -> dict:
-    """Plain-data form of any report object, tagged with its kind."""
-    entry = _REPORTS.get(type(result))
-    if entry is None:
-        raise DomainError(f"cannot serialize {type(result).__name__}")
-    return {**_codec(type(result))[0](result), **entry.derived(result)}
+    """Plain-data form of any report object, tagged with its kind: its JSON, read back."""
+    return json.loads(emit_report(result, "json"))
 
 
 def report_from_dict(data: dict):
@@ -479,13 +506,14 @@ _REPORTS = {
 
 def emit_report(result, format: str = "table") -> str:
     """Render a result for humans (table) or machines (json, round-trippable)."""
-    if format == "json":
-        return json.dumps(report_to_dict(result), indent=2) + "\n"
-    if format != "table":
+    if format not in ("table", "json"):
         raise DomainError(f"format must be 'table' or 'json', got {format!r}")
-    if type(result) not in _REPORTS:
-        raise DomainError(f"cannot render {type(result).__name__}")
-    return _REPORTS[type(result)].table(result)
+    entry = _REPORTS.get(type(result))
+    if entry is None:
+        raise DomainError(f"cannot {'serialize' if format == 'json' else 'render'} {type(result).__name__}")
+    if format == "json":
+        return _codec(type(result))[0](result, "\n") + "\n"
+    return entry.table(result)
 
 
 def emit_plot_data(sweep) -> str:

@@ -288,6 +288,15 @@ class TestExitCodes:
         assert err.startswith("error: row 4: not valid CSV: field larger than field limit")
         assert "Traceback" not in err
 
+    def test_task_id_past_the_integer_digit_limit_exits_2(self, capsys, tmp_path):
+        # int() refuses more than 4,300 digits; that crashed with exit 1
+        bad = tmp_path / "long_id.csv"
+        bad.write_text("task_id,description,cycle_time_sec\n" + "1" * 5000 + ",a,30\n")
+        code, out, err = run(capsys, "balance", "--tasks", str(bad), "--seats", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: row 2: task_id has 5000 digits, too many to read\n"
+        assert "Traceback" not in err
+
     def test_invariant_failure_exits_4(self, capsys, tasks_csv_path, monkeypatch):
         def broken(plan, target_ct=None):
             raise hl.InvariantError("line cycle time drifted")

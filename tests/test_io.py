@@ -1,6 +1,9 @@
 """CSV and JSON interchange: task tables, reports, plot data."""
+import dataclasses
 import hashlib
 import json
+import types
+import typing
 from fractions import Fraction
 
 import pytest
@@ -27,6 +30,12 @@ class TestBundledFixtures:
     def test_unknown_fixture_name(self):
         with pytest.raises(DomainError):
             hl.fixture_path("nonexistent.csv")
+
+    @pytest.mark.parametrize("name", ["../io.py", str(hl.fixture_path("shirt_deviations.csv"))])
+    def test_only_a_plain_name_in_the_data_directory_is_a_fixture(self, name):
+        # "../io.py" named the module's own source; an absolute path replaced the directory
+        with pytest.raises(DomainError, match="^no bundled fixture named "):
+            hl.fixture_path(name)
 
 
 class TestParseTasks:
@@ -98,6 +107,11 @@ class TestParseTasks:
         with pytest.raises(ParseError) as exc:
             hl.parse_tasks("task_id,description,cycle_time_sec\n1.5,x,5\n")
         assert exc.value.row == 2
+
+    def test_id_past_the_integer_digit_limit_cites_its_row(self):
+        # int() refuses more than 4,300 digits; that raised a bare ValueError
+        with pytest.raises(ParseError, match="^row 3: task_id has 5000 digits, too many to read$"):
+            hl.parse_tasks("task_id,description,cycle_time_sec\n1,x,5\n" + "1" * 5000 + ",y,6\n")
 
     def test_non_ascii_digit_id_rejected(self):
         # "²" passes str.isdigit but int() rejects it
@@ -387,6 +401,17 @@ class TestReportRoundTrips:
             text = hl.emit_report(report, "json")
             assert list(json.loads(text)) == expected[kind]
 
+    @pytest.mark.parametrize("build, digest", [
+        (lambda plan, alloc: hl.compare(plan, hl.Allocation.ones(plan), alloc),
+         "7ff5338e851e27321acd75f1ce25d58400f59af593ea54624f9faecdc2266c7b"),
+        (hl.productivity_report, "44550790305acbdf2b21edc8487cdf936d5ecc02c9313918ce01f5d1d9b607a4"),
+    ], ids=["comparison", "productivity"])
+    def test_json_is_pinned(self, shirt_plan, balanced, build, digest):
+        # sha256 of the shirt documents at 32 seats, taken from the dict
+        # encoder that json.dumps(indent=2) laid out, before the writer
+        text = hl.emit_report(build(shirt_plan, balanced.allocation), "json")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_parse_report_from_text(self, balanced):
         text = json.dumps(hl.report_to_dict(balanced))
         assert hl.parse_report(text) == balanced
@@ -610,3 +635,120 @@ def test_one_field_mutation_is_rejected_or_consistent(case):
             for tid, iv in decoded.intervals.items()
         }
         assert _fields(decoded) == _ref_report(plan, alloc, rebuilt)
+
+
+# ------------------------------------------------ the JSON writer's oracle
+#
+# The encoder that the type-directed writer replaced, kept as its oracle: every
+# dataclass becomes a dict, field by field in field order under its JSON key,
+# and json.dumps(indent=2) lays the plain data out. emit_report must write the
+# same bytes for every report kind.
+
+_KINDS = {
+    hl.BalanceResult: "balance", hl.ProductivityReport: "productivity", hl.Comparison: "comparison",
+    hl.RobustReport: "robust", hl.SimResult: "simulation",
+}
+_JSON_KEYS = {"line_ct_regular": "regular", "line_ct_best": "best", "line_ct_worst": "worst"}
+
+
+def _plain(hint, x):
+    if hint is Fraction:
+        return x if isinstance(x, float) else str(x)
+    if hint is hl.Allocation:
+        return _plain(dict[int, int], x.stations)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        out = {"kind": _KINDS[hint]} if hint in _KINDS else {}
+        for f in dataclasses.fields(hint):
+            out[_JSON_KEYS.get(f.name, f.name)] = _plain(hints[f.name], getattr(x, f.name))
+        return out
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = (a for a in args if a is not type(None))
+        return None if x is None else _plain(inner, x)
+    if origin is dict:
+        return {str(k): _plain(args[1], v) for k, v in x.items()}
+    if origin is tuple:
+        return [_plain(h, v) for h, v in zip(args if args[-1] is not Ellipsis else [args[0]] * len(x), x)]
+    return x
+
+
+def _oracle_json(report) -> str:
+    data = _plain(type(report), report)
+    if isinstance(report, hl.BalanceResult):
+        data["total_stations"] = report.allocation.total
+        data["throughput_per_period"] = str(hl.throughput(report.line_cycle_time, report.plan.period))
+    return json.dumps(data, indent=2) + "\n"
+
+
+_AWKWARD = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\u6f22\U0001f600'), st.characters()),
+    max_size=8,
+)
+
+
+@st.composite
+def _any_report(draw):
+    n = draw(st.integers(1, 5))
+    times = draw(st.lists(st.fractions(5, 90, max_denominator=4), min_size=n, max_size=n))
+    plan = hl.ProcessPlan(
+        tasks=[hl.Task(id=i + 1, description=draw(_AWKWARD), cycle_time=t) for i, t in enumerate(times)],
+        seat_budget=n + draw(st.integers(0, 4)),  # no spare seat: no balance iterations
+    )
+    alloc = hl.greedy_balance(plan).allocation
+    kind = draw(st.sampled_from(sorted(_KINDS.values())))
+    if kind == "balance":
+        return hl.greedy_balance(plan) if draw(st.booleans()) else hl.optimal_balance(plan)
+    if kind == "productivity":
+        return hl.productivity_report(plan, alloc)
+    if kind == "comparison":
+        return hl.compare(plan, hl.Allocation.ones(plan), alloc)
+    if kind == "robust":
+        alphas = st.fractions(Fraction(1, 10), 1, max_denominator=10)  # mixed alphas: alpha None
+        share = st.fractions(0, Fraction(9, 10), max_denominator=10)
+        intervals = {
+            tid: hl.ct_interval(iv.nominal, draw(share) * iv.nominal, draw(share) * iv.nominal, draw(alphas))
+            for tid, iv in hl.effective_intervals(plan, alloc).items()
+        }
+        return hl.robust_line_report(plan, alloc, intervals)
+    uniform = draw(st.booleans())
+    if uniform:  # deviations to draw from, below every effective time t_i/s_i
+        plan = dataclasses.replace(plan, tasks=tuple(
+            dataclasses.replace(t, dev_plus=t.cycle_time / 3, dev_minus=t.cycle_time / plan.seat_budget / 2)
+            for t in plan.tasks
+        ))
+    return hl.simulate(plan, alloc, SimConfig(
+        horizon_s=draw(st.integers(60, 900)),
+        service_model="uniform" if uniform else "deterministic",
+        seed=draw(st.integers(0, 9)),
+        queue_capacity=draw(st.none() | st.integers(1, 3)),
+        sample_interval_s=draw(st.sampled_from([30, 60, Fraction(45, 2)])),
+    ))
+
+
+@settings(max_examples=150, deadline=None)
+@given(report=_any_report())
+def test_json_writer_matches_the_dict_encoder(report):
+    assert hl.emit_report(report, "json") == _oracle_json(report)
+    assert hl.report_to_dict(report) == json.loads(_oracle_json(report))
+
+
+def test_json_writer_oracle_sees_each_awkward_case(shirt_plan, devs_plan, balanced):
+    one = hl.ProcessPlan(tasks=[hl.Task(1, 'quote " slash \\ bell \x07 \u00e9\u6f22', 30)], seat_budget=1)
+    mixed = {
+        tid: hl.ct_interval(iv.nominal, 1, 1, Fraction(1, 2) if tid % 2 else 1)
+        for tid, iv in hl.effective_intervals(shirt_plan, balanced.allocation).items()
+    }
+    cases = {
+        "one-task simulation": hl.simulate(one, hl.Allocation({1: 1}), SimConfig(horizon_s=600)),
+        "balance without iterations": hl.greedy_balance(one),
+        "robust with alpha None": hl.robust_line_report(shirt_plan, balanced.allocation, mixed),
+        "uniform simulation": hl.simulate(
+            devs_plan, balanced.allocation, SimConfig(horizon_s=1800, service_model="uniform", seed=5)
+        ),
+    }
+    sim, bal, robust, uniform = cases.values()
+    assert sim.wip_timeseries[0].queue_lengths == {} and bal.iterations == () and robust.alpha is None
+    assert any(isinstance(u, float) for u in uniform.utilization.values())
+    for name, report in cases.items():
+        assert hl.emit_report(report, "json") == _oracle_json(report), name
