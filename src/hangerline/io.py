@@ -285,21 +285,15 @@ def _codec(hint):
             lambda x, ind: "null" if x is None else w(x, ind),
             lambda raw: None if raw is None else dec(raw),
         )
-    if origin is dict and args[1] is int:
-        _, check = _codec(int)
-
-        def decode_ints(raw):
-            if {*map(type, raw.values())} - {int}:
-                [*map(check, raw.values())]  # raises, naming the first stray value
-            return {int(k): v for k, v in raw.items()}
-
-        return (lambda d, ind: _layout("{}", [f'"{k}": {v}' for k, v in d.items()], ind)), decode_ints
     if origin is dict:
         w, dec = _codec(args[1])
-        return (
-            lambda d, ind: _layout("{}", [f'"{k}": {w(v, ind + "  ")}' for k, v in d.items()], ind),
-            lambda raw: {int(k): dec(v) for k, v in raw.items()},
-        )
+
+        def write(d, ind):
+            if args[1] is int:  # station maps, WIP queue lengths: no call per value
+                return _layout("{}", [f'"{k}": {v}' for k, v in d.items()], ind)
+            return _layout("{}", [f'"{k}": {w(v, ind + "  ")}' for k, v in d.items()], ind)
+
+        return write, lambda raw: {int(k): dec(v) for k, v in raw.items()}
     if origin is tuple and args[-1] is Ellipsis:
         w, dec = _codec(args[0])
         return (
@@ -320,7 +314,7 @@ def _codec(hint):
             raise TypeError(f"expected {hint.__name__}, got {raw!r}")
         return raw
 
-    return (lambda x, ind: repr(x) if hint is int else _str(x)), check
+    return (lambda x, ind: int.__repr__(x) if hint is int else _str(x)), check  # as json.dumps
 
 
 def report_to_dict(result) -> dict:

@@ -1,5 +1,6 @@
 """CSV and JSON interchange: task tables, reports, plot data."""
 import dataclasses
+import enum
 import hashlib
 import json
 import types
@@ -739,16 +740,20 @@ def test_json_writer_oracle_sees_each_awkward_case(shirt_plan, devs_plan, balanc
         tid: hl.ct_interval(iv.nominal, 1, 1, Fraction(1, 2) if tid % 2 else 1)
         for tid, iv in hl.effective_intervals(shirt_plan, balanced.allocation).items()
     }
+    ids = enum.IntEnum("ids", "cut sew")  # an int subclass whose repr is not its number
+    enum_plan = hl.ProcessPlan(tasks=[hl.Task(ids.cut, "cut", 30), hl.Task(ids.sew, "sew", 45)], seat_budget=3)
     cases = {
         "one-task simulation": hl.simulate(one, hl.Allocation({1: 1}), SimConfig(horizon_s=600)),
+        "IntEnum task ids": hl.simulate(enum_plan, hl.Allocation({1: 1, 2: 2}), SimConfig(horizon_s=600)),
         "balance without iterations": hl.greedy_balance(one),
         "robust with alpha None": hl.robust_line_report(shirt_plan, balanced.allocation, mixed),
         "uniform simulation": hl.simulate(
             devs_plan, balanced.allocation, SimConfig(horizon_s=1800, service_model="uniform", seed=5)
         ),
     }
-    sim, bal, robust, uniform = cases.values()
+    sim, enum_sim, bal, robust, uniform = cases.values()
     assert sim.wip_timeseries[0].queue_lengths == {} and bal.iterations == () and robust.alpha is None
+    assert repr(enum_sim.plan.tasks[0].id) == "<ids.cut: 1>"
     assert any(isinstance(u, float) for u in uniform.utilization.values())
     for name, report in cases.items():
         assert hl.emit_report(report, "json") == _oracle_json(report), name
