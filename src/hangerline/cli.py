@@ -29,7 +29,8 @@ MAX_ALPHA_POINTS = 10_000
 # the largest --seats any subcommand accepts, about 3x the largest lines in
 # view (~3000 seats); balancing time grows with every seat
 MAX_SEATS = 10_000
-# the most stage visits plus WIP samples simulate takes on: ~8 s at ~230k visits/s
+# the most stage visits plus WIP samples simulate takes on: ~4 s at ~500k visits/s
+# (the 1,100 h shirt run, 1.88M visits, on one core of a 2-vCPU Xeon)
 MAX_SIM_EVENTS = 2_000_000
 
 

@@ -23,10 +23,11 @@ from .balancer import BalanceResult
 from .errors import DomainError, ParseError
 from .metrics import Comparison, ProductivityReport, _prints_as_zero
 from .model import (
-    Allocation, Task, _effective_times, _require_staffable, as_fraction, line_cycle_time, throughput,
+    SECONDS_PER_HOUR, Allocation, Task, _effective_times, _require_staffable, as_fraction, line_cycle_time,
+    throughput,
 )
 from .robust import RobustReport, _baseline_upph, robust_line_report
-from .simulator import SimResult
+from .simulator import SimResult, WipSample
 
 _TASK_COLUMNS = ("task_id", "description", "cycle_time_sec", "dev_plus_sec", "dev_minus_sec")
 _TASK_REQUIRED = ("task_id", "description", "cycle_time_sec")
@@ -252,6 +253,8 @@ def _dataclass_codec(cls):
         for f in dataclasses.fields(cls)
     ]
     written = [(name, _str(key) + ": ", w) for name, key, w, _ in fields]
+    samples = entry and entry.samples  # a simulation's samples decode last, against its plan and config
+    decoded = [f for f in fields if not samples or f[0] != "wip_timeseries"]
 
     def write(obj, ind):
         inner = ind + "  "
@@ -261,7 +264,10 @@ def _dataclass_codec(cls):
         return _layout("{}", items, ind)
 
     def decode(raw):
-        return cls(**{name: dec(raw[key]) for name, key, _, dec in fields})
+        got = {name: dec(raw[key]) for name, key, _, dec in decoded}
+        if samples:
+            got["wip_timeseries"] = samples(raw["wip_timeseries"], got["plan"], got["config"])
+        return cls(**got)
 
     return write, decode
 
@@ -477,11 +483,52 @@ def _rebuild_balance(r: BalanceResult) -> BalanceResult:
     return dataclasses.replace(r, line_cycle_time=line_cycle_time(r.plan, r.allocation))
 
 
+def _decode_samples(raw, plan, config) -> tuple[WipSample, ...]:
+    """A simulation's WIP samples, read against its plan and config: one per
+    sample interval from 0 to the horizon, each at its grid time, with int
+    queue lengths keyed by the plan's ids after the first, in plan order, and
+    released = completed + in_flight."""
+    ids, step = plan.task_ids[1:], config.sample_interval_s
+    keys = [str(i) for i in ids]
+    if len(raw) != config.horizon_s // step + 1:
+        raise ValueError(f"wip_timeseries has {len(raw)} samples, not one per sample interval")
+    samples = []
+    for k, x in enumerate(raw):
+        lengths, counts = x["queue_lengths"], (x["released"], x["completed"], x["in_flight"])
+        if type(lengths) is not dict or list(lengths) != keys:
+            raise ValueError(f"wip_timeseries[{k}]: queue_lengths must be an object keyed by later task ids")
+        if {*map(type, lengths.values()), *map(type, counts)} != {int}:
+            raise TypeError(f"wip_timeseries[{k}]: queue_lengths and counts must be integers")
+        time = Fraction(k * step.numerator, step.denominator)
+        if x["time"] != str(time) and _frac_in(x["time"]) != time:  # the text as written, or its number
+            raise ValueError(f"wip_timeseries[{k}]: time {x['time']!r} is off the sample grid, expected {time}")
+        if counts[0] != counts[1] + counts[2]:
+            raise ValueError(f"wip_timeseries[{k}]: released {counts[0]} is not completed + in_flight")
+        samples.append(WipSample(time, dict(zip(ids, lengths.values())), *counts))
+    return tuple(samples)
+
+
+def _rebuild_simulation(r: SimResult) -> SimResult:
+    """The document with the throughput and conservation its counts fix; the
+    allocation must be staffable, utilizations shares of the plan's tasks."""
+    _require_staffable(r.plan, r.allocation)
+    if list(r.utilization) != list(r.plan.task_ids) or not all(0 <= u <= 1 for u in r.utilization.values()):
+        raise ValueError("utilization must give each plan task, in plan order, a share in [0, 1]")
+    if not r.completed <= r.completed_total <= r.released:
+        raise ValueError("counts must satisfy completed <= completed_total <= released")
+    window = r.config.horizon_s - r.config.warmup_s
+    return dataclasses.replace(
+        r, throughput=Fraction(r.completed) * SECONDS_PER_HOUR / window,
+        conservation=(r.released, r.completed_total, r.released - r.completed_total),
+    )
+
+
 class _Kind(typing.NamedTuple):
     kind: str  # the JSON tag
     table: typing.Callable
     rebuild: typing.Callable = lambda r: r  # the report a decoded document must equal
     derived: typing.Callable = lambda r: {}  # keys written after the fields, checked where stated
+    samples: typing.Callable = None  # decode(raw, plan, config) of a simulation's wip_timeseries
 
 
 _REPORTS = {
@@ -494,7 +541,7 @@ _REPORTS = {
     RobustReport: _Kind(
         "robust", _robust_table, lambda r: robust_line_report(r.plan, r.allocation, r.intervals)
     ),
-    SimResult: _Kind("simulation", _sim_table),
+    SimResult: _Kind("simulation", _sim_table, _rebuild_simulation, samples=_decode_samples),
 }
 
 

@@ -22,15 +22,17 @@ holds its server (blocking after service) until a slot opens.
 
 Events are ordered by (time, stage index, piece id, kind). Two events that
 agree on all four are the same event, so their order cannot change the
-result, and identical inputs replay to bit-identical results. A service start
-runs in the step that frees its server or fills its queue. A START event is
-pushed only for the first release and where a queue slot opens, to wake the
-stage upstream and the loader. Starting in place gives the same run as
-pushing a START (t, i, 0) and popping it: the step that would push it has
-popped an ARRIVE or END (t, i, p) with piece p >= 1, so every pending event
+result, and identical inputs replay to bit-identical results. Each pass of the
+one event loop pops one event. A pass whose END frees a server of stage i, or
+whose ARRIVE fills stage i's queue, goes on to start every service stage i
+can. A START event is pushed only for the first release and where a queue
+slot opens, to wake the stage upstream and the loader. Starting in the same
+pass gives the same run as pushing a START (t, i, 0) and popping it: the pass
+popped an END or ARRIVE (t, i, p) with piece p >= 1, so every pending event
 is at least that, and no START (t, i, 0), which sorts before it, is pending.
-The step itself pushes only an ARRIVE for stage i + 1. So the START would be
-the least event in the heap and would run next, on the state the step left.
+Before it starts service the pass has pushed at most an ARRIVE for stage
+i + 1, which sorts after that START. So the START would be the least event in
+the heap and would run next, on the state the pass left.
 
 Time runs on one clock whose tick is 1/scale seconds, where scale is the
 least common multiple of the denominators of the horizon, warmup, transfer
@@ -143,6 +145,17 @@ class SimResult:
     wip_timeseries: tuple[WipSample, ...]
 
 
+def _in_flight(time, released, completed, queue, servers_busy, inbound) -> int:
+    """Pieces in the line at `time`, checked against released = completed + in flight."""
+    in_flight = sum(map(len, queue)) + sum(servers_busy) + sum(inbound)
+    if released != completed + in_flight:
+        raise InvariantError(
+            f"piece conservation broken at t={time}: released={released}, "
+            f"completed={completed}, in_flight={in_flight}"
+        )
+    return in_flight
+
+
 def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> SimResult:
     """Run the line and collect throughput, WIP trajectories and utilization."""
     _require_staffable(plan, allocation)
@@ -150,10 +163,12 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
     s = [allocation.count(t.id) for t in plan.tasks]
     uniform = config.service_model == "uniform"
     if uniform:
-        # a stage's deviations widen its effective time, so a server's raw band is s_i times it
+        # a stage's deviations widen its effective time, so a server's raw band is
+        # s_i times it. lo + width * random() is how random.uniform draws
         intervals = effective_intervals(plan, allocation, config.alpha).values()
         bounds = [(float(k * iv.lo), float(k * iv.hi)) for k, iv in zip(s, intervals)]
-    rng = random.Random(config.seed)
+        low, width = [lo for lo, _ in bounds], [hi - lo for lo, hi in bounds]
+        draw = random.Random(config.seed).random
 
     # the clock counts ticks of 1/scale s, so every exact time is an int
     exact = [config.horizon_s, config.warmup_s, config.transfer_delay_s, config.sample_interval_s]
@@ -167,6 +182,7 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
     window = config.horizon_s - config.warmup_s
     # the loader's CONWIP limit on the front WIP
     front_limit = (s[1] if cap is None else min(s[1], cap)) + s[0] - 1 if n > 1 else None
+    later_ids = plan.task_ids[1:]
 
     queue: list[deque[int]] = [deque() for _ in range(n)]  # queue[0] stays unused (source)
     blocked: list[deque[int]] = [deque() for _ in range(n)]
@@ -178,103 +194,68 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
     completed_total = 0
     completed = 0
 
-    heap: list[tuple] = []
-    push = heapq.heappush
-
-    def clipped_span(t0, t1):
-        a = t0 if t0 > warmup else warmup
-        b = t1 if t1 < horizon else horizon
-        return b - a if b > a else 0
-
-    def start_service(i, piece, t):
-        servers_busy[i] += 1
-        dur = rng.uniform(*bounds[i]) * scale if uniform else raw_time[i]
-        busy_time[i] += clipped_span(t, t + dur)
-        push(heap, (t + dur, i, piece, _END))
-
-    def gate_open():
-        return n == 1 or len(queue[1]) + inbound[1] + servers_busy[0] < front_limit
-
-    def on_queue_pop(j, t):
-        # a slot opened in queue[j]: wake a blocked upstream server, or the loader
-        if blocked[j - 1]:
-            piece = blocked[j - 1].popleft()
-            inbound[j] += 1
-            push(heap, (t + delay, j, piece, _ARRIVE))
-            servers_busy[j - 1] -= 1
-            push(heap, (t, j - 1, 0, _START))
-        if j == 1:
-            push(heap, (t, 0, 0, _START))
-
-    def dispatch(i, t):
-        nonlocal released
-        if i == 0:
-            while servers_busy[0] < s[0] and gate_open():
-                released += 1
-                start_service(0, released, t)
-        else:
-            while servers_busy[i] < s[i] and queue[i]:
-                start_service(i, queue[i].popleft(), t)
-                on_queue_pop(i, t)
-
-    def finish_service(i, piece, t):
-        nonlocal completed_total, completed
-        if i == n - 1:
-            completed_total += 1
-            if t > warmup:
-                completed += 1
-        elif cap is None or len(queue[i + 1]) + inbound[i + 1] < cap:
-            inbound[i + 1] += 1
-            push(heap, (t + delay, i + 1, piece, _ARRIVE))
-        else:
-            blocked[i].append(piece)  # hold the server until a slot opens
-            return
-        servers_busy[i] -= 1
-        dispatch(i, t)
-
-    def conserved_in_flight(t):
-        in_flight = sum(len(q) for q in queue) + sum(servers_busy) + sum(inbound)
-        if released != completed_total + in_flight:
-            raise InvariantError(
-                f"piece conservation broken at t={Fraction(t, scale)}: released={released}, "
-                f"completed={completed_total}, in_flight={in_flight}"
-            )
-        return in_flight
-
     samples: list[WipSample] = []
-
-    def take_sample(t):
-        in_flight = conserved_in_flight(t)
-        samples.append(
-            WipSample(
-                time=Fraction(t, scale),
-                queue_lengths={plan.tasks[i].id: len(queue[i]) for i in range(1, n)},
-                released=released,
-                completed=completed_total,
-                in_flight=in_flight,
-            )
-        )
-        nxt = t + interval
-        if nxt <= horizon:
-            push(heap, (nxt, n, 0, _SAMPLE))
-
+    heap: list[tuple] = []
+    push, pop = heapq.heappush, heapq.heappop
     push(heap, (0, 0, 0, _START))
     push(heap, (0, n, 0, _SAMPLE))
 
-    while heap and heap[0][0] <= horizon:
-        t, stage, piece, kind = heapq.heappop(heap)
+    while heap:
+        t, i, piece, kind = pop(heap)
+        if t > horizon:
+            break
         if kind == _ARRIVE:
-            inbound[stage] -= 1
-            queue[stage].append(piece)
-            dispatch(stage, t)
+            inbound[i] -= 1
+            queue[i].append(piece)
         elif kind == _END:
-            finish_service(stage, piece, t)
-        elif kind == _START:
-            dispatch(stage, t)
-        else:
-            take_sample(t)
+            if i == n - 1:
+                completed_total += 1
+                if t > warmup:
+                    completed += 1
+            elif cap is None or len(queue[i + 1]) + inbound[i + 1] < cap:
+                inbound[i + 1] += 1
+                push(heap, (t + delay, i + 1, piece, _ARRIVE))
+            else:
+                blocked[i].append(piece)  # hold the server until a slot opens
+                continue
+            servers_busy[i] -= 1
+        elif kind == _SAMPLE:
+            time = Fraction(t, scale)
+            in_flight = _in_flight(time, released, completed_total, queue, servers_busy, inbound)
+            lengths = dict(zip(later_ids, map(len, queue[1:])))
+            samples.append(WipSample(time, lengths, released, completed_total, in_flight))
+            if t + interval <= horizon:
+                push(heap, (t + interval, n, 0, _SAMPLE))
+            continue
+        # a START, or a step that freed a server or filled a queue: start what
+        # stage i can, the loader while its gate is open, a later stage from its queue
+        q = queue[i]
+        while servers_busy[i] < s[i]:
+            if i:
+                if not q:
+                    break
+                piece = q.popleft()
+            elif n == 1 or len(queue[1]) + inbound[1] + servers_busy[0] < front_limit:
+                released += 1
+                piece = released
+            else:
+                break
+            servers_busy[i] += 1
+            end = t + ((low[i] + width[i] * draw()) * scale if uniform else raw_time[i])
+            lo = t if t > warmup else warmup  # the service's span inside the window
+            hi = end if end < horizon else horizon
+            busy_time[i] += hi - lo if hi > lo else 0
+            push(heap, (end, i, piece, _END))
+            # a slot opened in queue[i]: wake a blocked upstream server, or the loader
+            if i and blocked[i - 1]:
+                inbound[i] += 1
+                push(heap, (t + delay, i, blocked[i - 1].popleft(), _ARRIVE))
+                servers_busy[i - 1] -= 1
+                push(heap, (t, i - 1, 0, _START))
+            if i == 1:
+                push(heap, (t, 0, 0, _START))
 
-    in_flight = conserved_in_flight(horizon)
+    in_flight = _in_flight(config.horizon_s, released, completed_total, queue, servers_busy, inbound)
 
     # float busy time (uniform service) gives a float share, int ticks an exact
     # one. An exact busy time never exceeds the stage's server ticks in the

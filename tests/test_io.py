@@ -362,6 +362,45 @@ class TestReportRoundTrips:
         data["config"]["release"] = "saturated"
         assert hl.report_from_dict(data) == run
 
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda d: d.update(throughput="12345", completed=1), r"fields \['throughput'\] disagree with its inputs$"),
+        (lambda d: d["utilization"].update({"21": "7"}),
+         r"utilization must give each plan task, in plan order, a share in \[0, 1\]$"),
+        (lambda d: d.update(conservation=[1, 2, 3]), r"fields \['conservation'\] disagree with its inputs$"),
+        (lambda d: d["allocation"].update({"19": 99}), r"allocation uses 130 stations, above the seat budget 32$"),
+        (lambda d: d.update(completed=d["completed_total"] + 1),
+         r"counts must satisfy completed <= completed_total <= released$"),
+        (lambda d: d["wip_timeseries"][5]["queue_lengths"].update({"999": 0}),
+         r"wip_timeseries\[5\]: queue_lengths must be an object keyed by later task ids$"),
+        (lambda d: d["wip_timeseries"][4].update(queue_lengths=list(d["wip_timeseries"][4]["queue_lengths"])),
+         r"wip_timeseries\[4\]: queue_lengths must be an object keyed by later task ids$"),
+        (lambda d: d["wip_timeseries"][1].update(time="61/7"),
+         r"wip_timeseries\[1\]: time '61/7' is off the sample grid, expected 60$"),
+        (lambda d: d["wip_timeseries"][3].update(in_flight=d["wip_timeseries"][3]["in_flight"] + 1),
+         r"wip_timeseries\[3\]: released \d+ is not completed \+ in_flight$"),
+        (lambda d: d["wip_timeseries"][2]["queue_lengths"].update({"20": "1"}),
+         r"wip_timeseries\[2\]: queue_lengths and counts must be integers$"),
+        (lambda d: d["wip_timeseries"].pop(), r"wip_timeseries has 120 samples, not one per sample interval$"),
+    ], ids=["throughput", "utilization", "conservation", "over_budget", "completed", "sample_key",
+            "sample_keys_as_a_list", "sample_time", "sample_counts", "sample_value_type", "sample_dropped"])
+    def test_simulation_document_breaking_an_identity_rejected(self, shirt_plan, balanced, tamper, message):
+        # a simulation document is not replayed on decode: its samples are read
+        # against the plan's ids and the config's sample grid, and its counts
+        # must satisfy the identities every run does
+        run = hl.simulate(shirt_plan, balanced.allocation, SimConfig(horizon_s=7200))
+        data = hl.report_to_dict(run)
+        tamper(data)
+        with pytest.raises(ParseError, match=r"^malformed simulation report: " + message):
+            hl.parse_report(json.dumps(data))
+
+    @pytest.mark.parametrize("spelling", ["120", "240/2", "120.0", "1.2e2", 120, 120.0])
+    def test_simulation_sample_time_parses_in_any_spelling_of_its_number(self, shirt_plan, balanced, spelling):
+        run = hl.simulate(shirt_plan, balanced.allocation, SimConfig(horizon_s=600))
+        data = hl.report_to_dict(run)
+        data["wip_timeseries"][2]["time"] = spelling
+        decoded = hl.parse_report(json.dumps(data))
+        assert decoded == run and type(decoded.wip_timeseries[2].time) is Fraction
+
     def test_top_level_key_order(self, shirt_plan, balanced, deviations):
         ones = hl.Allocation.ones(shirt_plan)
         intervals = hl.effective_intervals(shirt_plan, balanced.allocation, 1, deviations)
@@ -546,6 +585,14 @@ class TestPlotData:
 # give a report that the independent Fraction reference reproduces from the
 # decoded inputs. A figure the inputs determine (the line cycle time, a robust
 # line figure, an interval's lo or hi) may only decode back to the original.
+#
+# A simulation document is not replayed, so only its identities are checked:
+# a decoded one must satisfy them all. They fix the sample grid (the number of
+# samples and each time), each sample's queue_lengths keys (renamed here too)
+# and three counts, the document's three counts, its throughput and its
+# conservation: mutating one of those may only decode back to the original.
+# The run's outputs they do not fix stay free: a queue-length value, and a
+# utilization value inside [0, 1]. So do its inputs: plan, allocation, config.
 
 _SHIRT = hl.load_tasks(hl.fixture_path("shirt_main_assembly.csv"))
 _SHIRT_DEVIATIONS = hl.load_deviations(hl.fixture_path("shirt_deviations.csv"))
@@ -559,6 +606,14 @@ def _paths(node, path=()):
     children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, child in children:
         yield from _paths(child, path + (key,))
+
+
+def _shape(path):
+    """A simulation document's kinds of node: each top-level field, each field
+    of a WIP sample (any sample, any queue), and any node inside an input."""
+    if path[0] in ("plan", "allocation", "config"):
+        return path[:1] + ("*",) * (len(path) > 1)
+    return tuple("*" if isinstance(key, int) or key.isdigit() else key for key in path)
 
 
 def _nearby(old):
@@ -575,7 +630,30 @@ def _nearby(old):
 
 
 @st.composite
-def _mutated_documents(draw):
+def _simulations(draw):
+    """A short run of the shirt line, or of a 1-5 task line in either service model."""
+    if draw(st.booleans()):
+        plan = hl.ProcessPlan(tasks=_SHIRT, seat_budget=32)
+        config = SimConfig(horizon_s=600, warmup_s=120)
+    else:
+        n = draw(st.integers(1, 5))
+        times = draw(st.lists(st.fractions(5, 120, max_denominator=4), min_size=n, max_size=n))
+        plan = hl.ProcessPlan(
+            tasks=[hl.Task(id=i + 1, description=f"op {i + 1}", cycle_time=t, dev_plus=t / 4, dev_minus=Fraction(1, 2))
+                   for i, t in enumerate(times)],
+            seat_budget=n + draw(st.integers(0, 6)),
+        )
+        config = SimConfig(
+            horizon_s=draw(st.integers(300, 1800)), warmup_s=draw(st.integers(0, 299)),
+            service_model=draw(st.sampled_from(["deterministic", "uniform"])), seed=draw(st.integers(0, 99)),
+            queue_capacity=draw(st.none() | st.integers(1, 3)),
+            sample_interval_s=draw(st.sampled_from([60, Fraction(45, 2)])),
+        )
+    return hl.simulate(plan, hl.greedy_balance(plan).allocation, config)
+
+
+@st.composite
+def _balance_and_robust_reports(draw):
     if draw(st.booleans()):
         plan, deviations = hl.ProcessPlan(tasks=_SHIRT, seat_budget=32), _SHIRT_DEVIATIONS
     else:
@@ -592,13 +670,30 @@ def _mutated_documents(draw):
         nominal = hl.effective_intervals(plan, balanced.allocation)
         deviations = {tid: (draw(share) * iv.nominal, draw(share) * iv.nominal) for tid, iv in nominal.items()}
     if draw(st.booleans()):
-        original = balanced
-    else:
-        alpha = draw(st.fractions(Fraction(1, 10), 1, max_denominator=10))
-        intervals = hl.effective_intervals(plan, balanced.allocation, alpha, deviations)
-        original = hl.robust_line_report(plan, balanced.allocation, intervals)
+        return balanced
+    alpha = draw(st.fractions(Fraction(1, 10), 1, max_denominator=10))
+    intervals = hl.effective_intervals(plan, balanced.allocation, alpha, deviations)
+    return hl.robust_line_report(plan, balanced.allocation, intervals)
+
+
+@st.composite
+def _mutated_documents(draw, reports):
+    original = draw(reports)
     data = hl.report_to_dict(original)
-    path = draw(st.sampled_from(list(_paths(data))[1:]))
+    paths = list(_paths(data))[1:]
+    if isinstance(original, hl.SimResult):
+        k = draw(st.integers(0, len(data["wip_timeseries"]) - 1))
+        lengths = data["wip_timeseries"][k]["queue_lengths"]
+        if lengths and draw(st.integers(0, 3)) == 0:  # rename one key of one sample's queue lengths
+            old = draw(st.sampled_from(list(lengths)))
+            new = draw(st.one_of(st.sampled_from(list(lengths)), st.integers(0, 60).map(str), st.text(max_size=3)))
+            data["wip_timeseries"][k]["queue_lengths"] = {new if key == old else key: v for key, v in lengths.items()}
+            return original, data, ("wip_timeseries", k, "queue_lengths")
+        # most nodes are samples': draw a kind of node first, so that the
+        # top-level figures are mutated as often as each field of a sample
+        shape = draw(st.sampled_from(sorted({_shape(p) for p in paths})))
+        paths = [p for p in paths if _shape(p) == shape]
+    path = draw(st.sampled_from(paths))
     parent = data
     for key in path[:-1]:
         parent = parent[key]
@@ -609,25 +704,37 @@ def _mutated_documents(draw):
 def _determined(kind, path):
     if kind == "balance":
         return path[0] in ("line_cycle_time", "total_stations", "throughput_per_period")
+    if kind == "simulation":
+        if path[0] == "wip_timeseries":
+            return len(path) < 4  # below that, a queue-length value
+        return path[0] in ("completed", "completed_total", "released", "throughput", "conservation")
     if path[0] == "intervals":
         return len(path) == 3 and path[2] in ("lo", "hi")
     return path[0] not in ("plan", "allocation")
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=_mutated_documents())
-def test_one_field_mutation_is_rejected_or_consistent(case):
+def _decode_mutated(case):
+    """The mutated document decoded, or None where it is rejected. A figure
+    fixed by its inputs or identities may only decode back to the original."""
     original, data, path = case
     try:
         decoded = hl.parse_report(json.dumps(data))
     except ParseError:
-        return
-    kind = hl.report_to_dict(original)["kind"]
-    if _determined(kind, path):
+        return None
+    if _determined(hl.report_to_dict(original)["kind"], path):
         assert decoded == original
+    assert set(decoded.allocation.stations) == set(decoded.plan.task_ids)
+    return decoded
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_mutated_documents(_balance_and_robust_reports()))
+def test_one_field_mutation_is_rejected_or_consistent(case):
+    decoded = _decode_mutated(case)
+    if decoded is None:
+        return
     plan, alloc = decoded.plan, decoded.allocation
-    assert set(alloc.stations) == set(plan.task_ids)
-    if kind == "balance":
+    if isinstance(decoded, hl.BalanceResult):
         assert alloc.total <= plan.seat_budget
         assert decoded.line_cycle_time == max(t.cycle_time / alloc.stations[t.id] for t in plan.tasks)
     else:
@@ -636,6 +743,29 @@ def test_one_field_mutation_is_rejected_or_consistent(case):
             for tid, iv in decoded.intervals.items()
         }
         assert _fields(decoded) == _ref_report(plan, alloc, rebuilt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_mutated_documents(_simulations()))
+def test_one_field_mutation_of_a_simulation_is_rejected_or_consistent(case):
+    decoded = _decode_mutated(case)
+    if decoded is None:
+        return
+    plan, config = decoded.plan, decoded.config
+    assert decoded.allocation.total <= plan.seat_budget
+    ids = list(plan.task_ids)
+    assert list(decoded.utilization) == ids and all(0 <= u <= 1 for u in decoded.utilization.values())
+    assert decoded.completed <= decoded.completed_total <= decoded.released
+    in_flight = decoded.released - decoded.completed_total
+    assert decoded.conservation == (decoded.released, decoded.completed_total, in_flight)
+    assert decoded.throughput * (config.horizon_s - config.warmup_s) == 3600 * decoded.completed
+    times = [s.time for s in decoded.wip_timeseries]
+    assert times == [k * config.sample_interval_s for k in range(len(times))]
+    assert times[-1] <= config.horizon_s < times[-1] + config.sample_interval_s
+    for sample in decoded.wip_timeseries:
+        assert list(sample.queue_lengths) == ids[1:]
+        assert {type(v) for v in (*sample.queue_lengths.values(), sample.released, sample.completed)} <= {int}
+        assert sample.released == sample.completed + sample.in_flight
 
 
 # ------------------------------------------------ the JSON writer's oracle

@@ -30,6 +30,10 @@ class TestTruncateDecimals:
         with pytest.raises(DomainError):
             hl.truncate_decimals(Fraction(-1, 2))
 
+    def test_rejects_negative_places(self):
+        with pytest.raises(DomainError, match="^places must be >= 0, got -1$"):
+            hl.truncate_decimals(Fraction(1, 2), places=-1)
+
 
 class TestUpph:
     def test_examples(self):
@@ -39,6 +43,10 @@ class TestUpph:
     def test_rejects_no_workers(self):
         with pytest.raises(DomainError):
             hl.upph(Fraction(30), 0)
+
+    def test_rejects_negative_output(self):
+        with pytest.raises(DomainError, match="^output must be >= 0, got -1/2$"):
+            hl.upph(Fraction(-1, 2), 3)
 
 
 class TestEffImprovement:

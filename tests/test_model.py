@@ -116,6 +116,12 @@ class TestProcessPlan:
         with pytest.raises(DomainError):
             hl.ProcessPlan(tasks=(), seat_budget=1)
 
+    @pytest.mark.parametrize("period", [0, -60])
+    def test_nonpositive_period_rejected(self, period):
+        task = hl.Task(id=1, description="a", cycle_time=5)
+        with pytest.raises(DomainError, match="^period must be > 0$"):
+            hl.ProcessPlan(tasks=(task,), seat_budget=1, period=period)
+
     def test_lookup(self):
         plan = make_plan([5, 6], 2)
         assert plan.task_ids == (1, 2)
@@ -163,6 +169,12 @@ class TestCycleTimeAlgebra:
         assert hl.throughput(Fraction(120)) == Fraction(30)
         assert hl.throughput(Fraction(40), period=Fraction(1800)) == Fraction(45)
 
+    def test_throughput_needs_positive_cycle_time_and_period(self):
+        with pytest.raises(DomainError, match="^cycle time must be > 0, got 0$"):
+            hl.throughput(0)
+        with pytest.raises(DomainError, match="^period must be > 0, got -1$"):
+            hl.throughput(40, period=-1)
+
     def test_work_content(self, shirt_plan):
         assert hl.work_content(shirt_plan) == Fraction(1090)
 
@@ -171,6 +183,12 @@ class TestCycleTimeAlgebra:
         # duplication bound only spreads work: sum/S
         assert hl.parallel_lower_bound(plan, 4) == Fraction(30)
         assert hl.parallel_lower_bound(shirt_plan, 32) == Fraction(1090, 32)
+
+    @pytest.mark.parametrize("stations", [2, 4.0, "4"])
+    def test_lower_bound_needs_a_station_per_task(self, stations):
+        plan = make_plan([60, 30, 30], 4)
+        with pytest.raises(DomainError, match=rf"^need at least one station per task \(3\), got {stations!r}$"):
+            hl.parallel_lower_bound(plan, stations)
 
 
 @given(

@@ -3,6 +3,7 @@ import collections
 import dataclasses
 import hashlib
 import heapq
+import random
 from fractions import Fraction
 
 import pytest
@@ -430,6 +431,61 @@ class TestExactClock:
         times = [s.time for s in hl.simulate(devs_plan, alloc, cfg).wip_timeseries]
         assert times == [k * Fraction(7, 3) for k in range(len(times))]
         assert times[-1] == Fraction(21595, 3)
+
+
+def seeded_line(seed, n, shape):
+    """A seeded n-task line and its allocation: one station per task, greedy
+    at two seats per task, or greedy with a first task twice the slowest, so
+    its stage is split."""
+    rng = random.Random(seed)
+    times = [Fraction(rng.randint(10 * d, 60 * d), d) for d in rng.choices((1, 3, 4, 10), k=n)]
+    if shape == "split_first":
+        times[0] = 2 * max(times)
+    tasks = tuple(
+        hl.Task(id=40 + 3 * k, description=f"op {k}", cycle_time=t,
+                dev_plus=Fraction(rng.randint(0, 40), 10), dev_minus=Fraction(rng.randint(0, 10), 10))
+        for k, t in enumerate(times)
+    )
+    if shape == "ones":
+        plan = hl.ProcessPlan(tasks=tasks, seat_budget=n)
+        return plan, hl.Allocation.ones(plan)
+    plan = hl.ProcessPlan(tasks=tasks, seat_budget=2 * n)
+    return plan, hl.greedy_balance(plan).allocation
+
+
+@pytest.mark.parametrize(
+    "seed, n, shape, config, digest",
+    [
+        (1, 6, "ones", dict(),
+         "73828b01106f6044007c7b80b0f72981ffe142b3ec9bcad0ee299e099d071a38"),
+        (2, 8, "balanced", dict(queue_capacity=2, transfer_delay_s=Fraction(3, 2)),
+         "57e6d54e7d4f10d1a370949da17dfecc0d90bc713e56743c77b73954645b194f"),
+        (3, 5, "split_first", dict(),
+         "dd15ec1cc7db5387fa420a8adbd7b11dfdf1b9620b50133857496fe397f93437"),
+        (4, 7, "balanced", dict(queue_capacity=1, transfer_delay_s=Fraction(7, 3)),
+         "a3be27fc347f800e1b18981ef96a8885b7d404774d495af3211c030b028d4fa6"),
+        (5, 6, "balanced", dict(service_model="uniform", seed=11),
+         "f457c15258fb977f358360a12545f498c3bd0ba8dbaac945b795acd1c58efa40"),
+        (6, 8, "split_first", dict(service_model="uniform", seed=12, queue_capacity=2,
+                                   transfer_delay_s=Fraction(3, 2)),
+         "3fd72c55c5965ec95f34c65fdc0d0124b80678fc8b88102fb6ea7e8f322d8821"),
+        (7, 5, "ones", dict(service_model="uniform", seed=13, alpha=Fraction(1, 2), queue_capacity=3,
+                            transfer_delay_s=Fraction(1, 3)),
+         "f39a4a895f23a6a4d1060779fac9ca7e609418e5e98b2c420893724a14989632"),
+        (8, 3, "split_first", dict(service_model="uniform", seed=14, transfer_delay_s=Fraction(5, 4),
+                                   sample_interval_s=45),
+         "aed5f9f9ee8fa477d94e87118a95334dd0558c8635714c873af53897f2a55d14"),
+    ],
+    ids=["det_ones", "det_cap2_delay", "det_split_first", "det_cap1_delay_7_3",
+         "uni_balanced", "uni_split_first_cap2_delay", "uni_ones_cap3_delay_1_3", "uni_split_first_delay"],
+)
+def test_seeded_synthetic_runs_are_pinned(seed, n, shape, config, digest):
+    # digests of emit_report taken from the simulator before its event loop was
+    # folded into one loop: the heap order, the draws and the samples are fixed
+    plan, alloc = seeded_line(seed, n, shape)
+    cfg = SimConfig(horizon_s=hours(2), warmup_s=hours(Fraction(1, 2)), **config)
+    text = hl.emit_report(hl.simulate(plan, alloc, cfg), "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_heap_pushes_are_pinned(monkeypatch, shirt_plan, balanced):
