@@ -1,24 +1,22 @@
 """Station allocation solvers.
 
-Three routes to an allocation:
+Two routes to an allocation, on one heap loop:
 
 * greedy_balance   - repeatedly split the current bottleneck task; the shop
                      floor procedure, provably optimal for this min-max form
                      (Ibaraki & Katoh, Resource Allocation Problems, 1988).
-* optimal_balance  - the same heap-driven loop, started from a proximity
-                     lower bound on the optimal station counts (Hochbaum,
-                     Math. of OR 19(2), 1994); exact.
-* exhaustive_balance - brute-force enumeration for small instances; the
-                     oracle the other two are tested against.
+* optimal_balance  - the same loop, started from a proximity lower bound on
+                     the optimal station counts (Hochbaum, Math. of OR 19(2),
+                     1994); exact.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Literal
+from typing import Literal
 
-from .errors import DomainError, InstanceTooLargeError
+from .errors import DomainError
 from .model import (
     Allocation,
     ProcessPlan,
@@ -27,10 +25,7 @@ from .model import (
     work_content,
 )
 
-Method = Literal["greedy", "optimal", "exhaustive"]
-
-EXHAUSTIVE_MAX_TASKS = 10
-EXHAUSTIVE_MAX_SEATS = 16
+Method = Literal["greedy", "optimal"]
 
 
 @dataclass(frozen=True)
@@ -40,7 +35,7 @@ class BalanceResult:
     iterations records stations added by bottleneck splitting, as (task id,
     line cycle time after the split). For greedy that is every station beyond
     one per task; for optimal, only the stations added after the optimal line
-    cycle time is first reached; exhaustive records none.
+    cycle time is first reached.
     """
 
     method: Method
@@ -126,41 +121,3 @@ def optimal_balance(plan: ProcessPlan) -> BalanceResult:
     iterations = _add_seats(plan, stations)
     cts = [start_ct, *(ct for _, ct in iterations)]
     return _result("optimal", plan, stations, iterations[cts.index(cts[-1]):])
-
-
-def _vectors(extra: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """All ways to hand out up to `extra` additional seats across `slots` tasks."""
-    if slots == 0:
-        yield ()
-        return
-    for first in range(extra + 1):
-        for rest in _vectors(extra - first, slots - 1):
-            yield (first, *rest)
-
-
-def exhaustive_balance(plan: ProcessPlan) -> BalanceResult:
-    """Brute-force oracle: try every allocation with total stations within the
-    budget and return the best one.
-
-    Ties on line cycle time break toward fewer total stations, then toward
-    the lexicographically smallest station vector in plan order. Refuses
-    instances above 10 tasks or 16 seats.
-    """
-    n = len(plan.tasks)
-    if n > EXHAUSTIVE_MAX_TASKS or plan.seat_budget > EXHAUSTIVE_MAX_SEATS:
-        raise InstanceTooLargeError(
-            f"exhaustive enumeration is limited to {EXHAUSTIVE_MAX_TASKS} tasks "
-            f"and {EXHAUSTIVE_MAX_SEATS} seats; got {n} tasks, budget {plan.seat_budget}"
-        )
-
-    best_key = None
-    best_vector = None
-    for extras in _vectors(plan.seat_budget - n, n):
-        vector = tuple(1 + e for e in extras)
-        ct = max(t.cycle_time / s for t, s in zip(plan.tasks, vector))
-        key = (ct, sum(vector), vector)
-        if best_key is None or key < best_key:
-            best_key, best_vector = key, vector
-
-    stations = {t.id: s for t, s in zip(plan.tasks, best_vector)}
-    return _result("exhaustive", plan, stations, ())

@@ -9,10 +9,6 @@ class InfeasibleError(DomainError):
     """A balancing instance cannot be solved within its seat budget."""
 
 
-class InstanceTooLargeError(DomainError):
-    """Exhaustive enumeration was asked for an instance above its size guard."""
-
-
 class ParseError(ValueError):
     """Malformed input file. Carries the offending row number when known."""
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .balancer import BalanceResult
 from .errors import DomainError, ParseError
-from .metrics import Comparison, ProductivityReport, _prints_as_zero
+from .metrics import Comparison, ProductivityReport, _comparison, _prints_as_zero, _productivity
 from .model import (
     SECONDS_PER_HOUR, Allocation, Task, _effective_times, _require_staffable, as_fraction, line_cycle_time,
     throughput,
@@ -215,7 +215,7 @@ def fixture_path(name: str) -> Path:
 # the tables), one key per field in field order, then the kind's derived keys.
 # Fractions become "num/den" strings; floats (uniform-mode utilizations) stay
 # numbers. Dicts keyed by task id get string keys, an int-valued one in a single
-# comprehension; an Allocation is its station map. report_to_dict reads it back.
+# comprehension; an Allocation is its station map. report_from_dict reads it back.
 
 # field name -> JSON key, where the two differ
 _KEYS = {"line_ct_regular": "regular", "line_ct_best": "best", "line_ct_worst": "worst"}
@@ -323,15 +323,11 @@ def _codec(hint):
     return (lambda x, ind: int.__repr__(x) if hint is int else _str(x)), check  # as json.dumps
 
 
-def report_to_dict(result) -> dict:
-    """Plain-data form of any report object, tagged with its kind: its JSON, read back."""
-    return json.loads(emit_report(result, "json"))
-
-
 def report_from_dict(data: dict):
-    """Inverse of report_to_dict. A balance or robust document must hold the
-    report its own inputs produce (a balance's iterations are not rerun), and
-    a derived key it states must equal the rebuilt value as a number."""
+    """The report object of a JSON document read into plain data. Each kind is
+    rebuilt from its inputs or identities (a balance's iterations are not
+    rerun) and must equal the decoded document; a derived key it states must
+    equal the rebuilt value as a number."""
     try:
         kind = data["kind"]
     except (KeyError, TypeError):
@@ -492,7 +488,7 @@ def _decode_samples(raw, plan, config) -> tuple[WipSample, ...]:
     keys = [str(i) for i in ids]
     if len(raw) != config.horizon_s // step + 1:
         raise ValueError(f"wip_timeseries has {len(raw)} samples, not one per sample interval")
-    samples = []
+    samples, before = [], (0, 0)
     for k, x in enumerate(raw):
         lengths, counts = x["queue_lengths"], (x["released"], x["completed"], x["in_flight"])
         if type(lengths) is not dict or list(lengths) != keys:
@@ -504,8 +500,25 @@ def _decode_samples(raw, plan, config) -> tuple[WipSample, ...]:
             raise ValueError(f"wip_timeseries[{k}]: time {x['time']!r} is off the sample grid, expected {time}")
         if counts[0] != counts[1] + counts[2]:
             raise ValueError(f"wip_timeseries[{k}]: released {counts[0]} is not completed + in_flight")
+        if counts[0] < before[0] or counts[1] < before[1]:
+            raise ValueError(f"wip_timeseries[{k}]: released and completed must be at least 0 and never fall")
+        before = counts
         samples.append(WipSample(time, dict(zip(ids, lengths.values())), *counts))
     return tuple(samples)
+
+
+def _rebuild_productivity(r: ProductivityReport) -> ProductivityReport:
+    """The report its stored figures give (no period is stored, so the line
+    cycle time, output and workers are taken as given); each utilization must
+    be a share in (0, 1], the bottleneck's exactly 1."""
+    shares = r.utilization.values()
+    if not shares or max(shares) != 1 or min(shares) <= 0:
+        raise ValueError("utilization must give each task a share in (0, 1], the largest exactly 1")
+    return _productivity(r.line_cycle_time, r.output_per_hour, r.workers, r.utilization)
+
+
+def _rebuild_comparison(c: Comparison) -> Comparison:
+    return _comparison(_rebuild_productivity(c.before), _rebuild_productivity(c.after))
 
 
 def _rebuild_simulation(r: SimResult) -> SimResult:
@@ -516,6 +529,9 @@ def _rebuild_simulation(r: SimResult) -> SimResult:
         raise ValueError("utilization must give each plan task, in plan order, a share in [0, 1]")
     if not r.completed <= r.completed_total <= r.released:
         raise ValueError("counts must satisfy completed <= completed_total <= released")
+    last = r.wip_timeseries[-1]
+    if last.released > r.released or last.completed > r.completed_total:
+        raise ValueError("the last sample's counts must not exceed released and completed_total")
     window = r.config.horizon_s - r.config.warmup_s
     return dataclasses.replace(
         r, throughput=Fraction(r.completed) * SECONDS_PER_HOUR / window,
@@ -526,7 +542,7 @@ def _rebuild_simulation(r: SimResult) -> SimResult:
 class _Kind(typing.NamedTuple):
     kind: str  # the JSON tag
     table: typing.Callable
-    rebuild: typing.Callable = lambda r: r  # the report a decoded document must equal
+    rebuild: typing.Callable  # the report a decoded document must equal
     derived: typing.Callable = lambda r: {}  # keys written after the fields, checked where stated
     samples: typing.Callable = None  # decode(raw, plan, config) of a simulation's wip_timeseries
 
@@ -536,8 +552,8 @@ _REPORTS = {
         "total_stations": r.total_stations,
         "throughput_per_period": str(throughput(r.line_cycle_time, r.plan.period)),
     }),
-    ProductivityReport: _Kind("productivity", lambda r: _productivity_line("line", r)),
-    Comparison: _Kind("comparison", _comparison_table),
+    ProductivityReport: _Kind("productivity", lambda r: _productivity_line("line", r), _rebuild_productivity),
+    Comparison: _Kind("comparison", _comparison_table, _rebuild_comparison),
     RobustReport: _Kind(
         "robust", _robust_table, lambda r: robust_line_report(r.plan, r.allocation, r.intervals)
     ),

@@ -105,6 +105,18 @@ class Comparison:
     output_ratio: Fraction
 
 
+def _productivity(ct: Fraction, output: Fraction, workers: int, utilization: dict) -> ProductivityReport:
+    """The report with the UPPH and idle fractions its figures give."""
+    return ProductivityReport(
+        line_cycle_time=ct,
+        output_per_hour=output,
+        workers=workers,
+        upph=upph(output, workers),
+        utilization=utilization,
+        idle_fraction={task_id: 1 - u for task_id, u in utilization.items()},
+    )
+
+
 def productivity_report(plan: ProcessPlan, allocation: Allocation) -> ProductivityReport:
     """Compute throughput, UPPH and per-task utilization for an allocation.
 
@@ -112,18 +124,14 @@ def productivity_report(plan: ProcessPlan, allocation: Allocation) -> Productivi
     """
     times = _effective_times(plan, allocation)
     ct = max(times.values())
-    output = throughput(ct, plan.period)
-    workers = allocation.total
     utilization = {task_id: time / ct for task_id, time in times.items()}
-    idle = {task_id: 1 - u for task_id, u in utilization.items()}
-    return ProductivityReport(
-        line_cycle_time=ct,
-        output_per_hour=output,
-        workers=workers,
-        upph=upph(output, workers),
-        utilization=utilization,
-        idle_fraction=idle,
-    )
+    return _productivity(ct, throughput(ct, plan.period), allocation.total, utilization)
+
+
+def _comparison(before: ProductivityReport, after: ProductivityReport) -> Comparison:
+    """The pair with the improvements and output ratio its two sides give."""
+    ratio = after.output_per_hour / before.output_per_hour
+    return Comparison(before, after, *_improvements(after.upph, before.upph), ratio)
 
 
 def compare(
@@ -135,13 +143,5 @@ def compare(
     must fit the plan's seat budget."""
     _require_staffable(plan, baseline_allocation)
     _require_staffable(plan, new_allocation)
-    before = productivity_report(plan, baseline_allocation)
-    after = productivity_report(plan, new_allocation)
-    improvement, improvement_displayed = _improvements(after.upph, before.upph)
-    return Comparison(
-        before=before,
-        after=after,
-        improvement=improvement,
-        improvement_displayed=improvement_displayed,
-        output_ratio=after.output_per_hour / before.output_per_hour,
-    )
+    before, after = productivity_report(plan, baseline_allocation), productivity_report(plan, new_allocation)
+    return _comparison(before, after)

@@ -18,6 +18,7 @@ import hangerline as hl
 from hangerline.cli import main
 
 from .conftest import EXPECTED_COUNTS_32
+from .oracles import exhaustive_balance
 
 
 def report(n, ok, detail):
@@ -114,7 +115,7 @@ def test_criterion_3_method_equivalence_on_random_instances():
             )
             g = hl.greedy_balance(plan).line_cycle_time
             o = hl.optimal_balance(plan).line_cycle_time
-            e = hl.exhaustive_balance(plan).line_cycle_time
+            e = exhaustive_balance(plan).line_cycle_time
             assert g == o == e, f"methods disagree on times={times} budget={budget}"
             assert hl.parallel_lower_bound(plan, budget) <= g <= max(
                 Fraction(t) for t in times

@@ -234,9 +234,13 @@ class TestFormatting:
         assert hl.format_percent(Fraction(-1, 3)) == "-33.33%"
 
 
+def _shift_counts(sample, by):
+    sample.update(released=sample["released"] + by, in_flight=sample["in_flight"] + by)
+
+
 class TestReportRoundTrips:
     def test_balance(self, shirt_plan, balanced):
-        data = hl.report_to_dict(balanced)
+        data = json.loads(hl.emit_report(balanced, "json"))
         assert data["kind"] == "balance"
         assert data["total_stations"] == 32
         assert data["line_cycle_time"] == "40"
@@ -245,13 +249,13 @@ class TestReportRoundTrips:
 
     def test_productivity(self, shirt_plan, balanced):
         report = hl.productivity_report(shirt_plan, balanced.allocation)
-        data = hl.report_to_dict(report)
+        data = json.loads(hl.emit_report(report, "json"))
         assert data["kind"] == "productivity"
         assert hl.report_from_dict(data) == report
 
     def test_comparison(self, shirt_plan, balanced):
         cmp = hl.compare(shirt_plan, hl.Allocation.ones(shirt_plan), balanced.allocation)
-        data = hl.report_to_dict(cmp)
+        data = json.loads(hl.emit_report(cmp, "json"))
         assert data["kind"] == "comparison"
         assert data["improvement_displayed"] == "124/157"
         assert hl.report_from_dict(data) == cmp
@@ -259,7 +263,7 @@ class TestReportRoundTrips:
     def test_robust(self, shirt_plan, balanced, deviations):
         intervals = hl.effective_intervals(shirt_plan, balanced.allocation, 1, deviations)
         report = hl.robust_line_report(shirt_plan, balanced.allocation, intervals)
-        data = hl.report_to_dict(report)
+        data = json.loads(hl.emit_report(report, "json"))
         assert data["kind"] == "robust"
         for key in ("regular", "best", "worst", "upph_max", "upph_min"):
             assert key in data
@@ -272,7 +276,7 @@ class TestReportRoundTrips:
             shirt_plan, balanced.allocation,
             SimConfig(horizon_s=Fraction(1800), warmup_s=Fraction(600)),
         )
-        data = hl.report_to_dict(run)
+        data = json.loads(hl.emit_report(run, "json"))
         assert data["kind"] == "simulation"
         assert hl.report_from_dict(data) == run
 
@@ -322,7 +326,7 @@ class TestReportRoundTrips:
             hl.parse_report(json.dumps(data))
 
     def test_balance_document_over_budget_rejected(self, balanced):
-        data = hl.report_to_dict(balanced)
+        data = json.loads(hl.emit_report(balanced, "json"))
         data["allocation"]["19"] = 99
         data["line_cycle_time"] = "1"
         with pytest.raises(
@@ -331,7 +335,7 @@ class TestReportRoundTrips:
             hl.report_from_dict(json.loads(json.dumps(data)))
 
     def test_balance_document_with_wrong_derived_keys_rejected(self, balanced):
-        data = hl.report_to_dict(balanced)
+        data = json.loads(hl.emit_report(balanced, "json"))
         data.update(throughput_per_period="999", total_stations=7)
         with pytest.raises(
             ParseError,
@@ -346,11 +350,11 @@ class TestReportRoundTrips:
     ])
     def test_balance_derived_keys_are_numbers_and_optional(self, balanced, stated):
         derived = ("total_stations", "throughput_per_period")
-        data = {k: v for k, v in hl.report_to_dict(balanced).items() if k not in derived}
+        data = {k: v for k, v in json.loads(hl.emit_report(balanced, "json")).items() if k not in derived}
         assert hl.report_from_dict({**data, **stated}) == balanced
 
     def test_balance_document_with_a_wrong_line_cycle_time_rejected(self, balanced):
-        data = hl.report_to_dict(balanced)
+        data = json.loads(hl.emit_report(balanced, "json"))
         data["line_cycle_time"] = "1"
         with pytest.raises(ParseError, match=r"fields \['line_cycle_time'\] disagree with its inputs$"):
             hl.report_from_dict(data)
@@ -358,7 +362,7 @@ class TestReportRoundTrips:
     def test_simulation_document_with_release_key_parses(self, shirt_plan, balanced):
         # documents written before SimConfig lost its single-valued release knob
         run = hl.simulate(shirt_plan, balanced.allocation, SimConfig(horizon_s=600))
-        data = hl.report_to_dict(run)
+        data = json.loads(hl.emit_report(run, "json"))
         data["config"]["release"] = "saturated"
         assert hl.report_from_dict(data) == run
 
@@ -381,22 +385,50 @@ class TestReportRoundTrips:
         (lambda d: d["wip_timeseries"][2]["queue_lengths"].update({"20": "1"}),
          r"wip_timeseries\[2\]: queue_lengths and counts must be integers$"),
         (lambda d: d["wip_timeseries"].pop(), r"wip_timeseries has 120 samples, not one per sample interval$"),
+        # released and in_flight moved together keep each sample's own identity
+        (lambda d: _shift_counts(d["wip_timeseries"][60], -5),
+         r"wip_timeseries\[60\]: released and completed must be at least 0 and never fall$"),
+        (lambda d: _shift_counts(d["wip_timeseries"][-1], 5),
+         r"the last sample's counts must not exceed released and completed_total$"),
     ], ids=["throughput", "utilization", "conservation", "over_budget", "completed", "sample_key",
-            "sample_keys_as_a_list", "sample_time", "sample_counts", "sample_value_type", "sample_dropped"])
+            "sample_keys_as_a_list", "sample_time", "sample_counts", "sample_value_type", "sample_dropped",
+            "sample_counts_fall", "last_sample_counts_past_the_document"])
     def test_simulation_document_breaking_an_identity_rejected(self, shirt_plan, balanced, tamper, message):
         # a simulation document is not replayed on decode: its samples are read
         # against the plan's ids and the config's sample grid, and its counts
         # must satisfy the identities every run does
         run = hl.simulate(shirt_plan, balanced.allocation, SimConfig(horizon_s=7200))
-        data = hl.report_to_dict(run)
+        data = json.loads(hl.emit_report(run, "json"))
         tamper(data)
         with pytest.raises(ParseError, match=r"^malformed simulation report: " + message):
+            hl.parse_report(json.dumps(data))
+
+    @pytest.mark.parametrize("kind, tamper, message", [
+        ("productivity", lambda d: d.update(upph="999"), r"fields \['upph'\] disagree with its inputs$"),
+        ("productivity", lambda d: d["idle_fraction"].update({"40": "7"}),
+         r"fields \['idle_fraction'\] disagree with its inputs$"),
+        ("productivity", lambda d: d["utilization"].update(dict.fromkeys(d["utilization"], "1/2")),
+         r"utilization must give each task a share in \(0, 1\], the largest exactly 1$"),
+        ("comparison", lambda d: (d["before"].update(upph="999"), d["after"].update(upph="999")),
+         r"fields \['before', 'after'\] disagree with its inputs$"),
+        ("comparison", lambda d: d.update(output_ratio="5"), r"fields \['output_ratio'\] disagree with its inputs$"),
+    ], ids=["upph", "idle_fraction", "utilization", "both_upph", "output_ratio"])
+    def test_productivity_document_breaking_an_identity_rejected(self, shirt_plan, balanced, kind, tamper, message):
+        # no period is stored, so line_cycle_time, output_per_hour and workers
+        # are free; UPPH, idle fractions and the comparison figures follow
+        if kind == "productivity":
+            report = hl.productivity_report(shirt_plan, balanced.allocation)
+        else:
+            report = hl.compare(shirt_plan, hl.Allocation.ones(shirt_plan), balanced.allocation)
+        data = json.loads(hl.emit_report(report, "json"))
+        tamper(data)
+        with pytest.raises(ParseError, match=rf"^malformed {kind} report: " + message):
             hl.parse_report(json.dumps(data))
 
     @pytest.mark.parametrize("spelling", ["120", "240/2", "120.0", "1.2e2", 120, 120.0])
     def test_simulation_sample_time_parses_in_any_spelling_of_its_number(self, shirt_plan, balanced, spelling):
         run = hl.simulate(shirt_plan, balanced.allocation, SimConfig(horizon_s=600))
-        data = hl.report_to_dict(run)
+        data = json.loads(hl.emit_report(run, "json"))
         data["wip_timeseries"][2]["time"] = spelling
         decoded = hl.parse_report(json.dumps(data))
         assert decoded == run and type(decoded.wip_timeseries[2].time) is Fraction
@@ -453,11 +485,11 @@ class TestReportRoundTrips:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_parse_report_from_text(self, balanced):
-        text = json.dumps(hl.report_to_dict(balanced))
+        text = json.dumps(json.loads(hl.emit_report(balanced, "json")))
         assert hl.parse_report(text) == balanced
 
     def test_iterations_serialize_as_pairs(self, balanced):
-        data = hl.report_to_dict(balanced)
+        data = json.loads(hl.emit_report(balanced, "json"))
         assert data["iterations"][0] == [37, "110"]
         assert data["iterations"][-1] == [25, "40"]
 
@@ -470,14 +502,14 @@ class TestReportRoundTrips:
             hl.report_from_dict({})
 
     def test_truncated_document_rejected(self, balanced):
-        data = hl.report_to_dict(balanced)
+        data = json.loads(hl.emit_report(balanced, "json"))
         del data["allocation"]
         with pytest.raises(ParseError) as exc:
             hl.report_from_dict(data)
         assert "balance" in str(exc.value)
 
     def test_zero_denominator_rejected(self, balanced):
-        data = hl.report_to_dict(balanced)
+        data = json.loads(hl.emit_report(balanced, "json"))
         data["line_cycle_time"] = "1/0"
         with pytest.raises(ParseError):
             hl.report_from_dict(data)
@@ -485,24 +517,25 @@ class TestReportRoundTrips:
     @pytest.mark.parametrize("raw", ["1e1000000", "1e999999999", "1e-101"])
     def test_decimal_exponent_is_bounded(self, balanced, raw):
         # a short field must not expand into a huge integer (1e999999999 hung)
-        data = hl.report_to_dict(balanced)
+        data = json.loads(hl.emit_report(balanced, "json"))
         data["line_cycle_time"] = raw
         with pytest.raises(ParseError, match=r"^malformed balance report: exponent of .* is outside \+/-100$"):
             hl.report_from_dict(data)
 
     @pytest.mark.parametrize("raw", ["40", "80/2", "40.0", "4e1", "4E+1"])
     def test_fraction_strings_in_both_forms_parse(self, balanced, raw):
-        data = hl.report_to_dict(balanced)
+        data = json.loads(hl.emit_report(balanced, "json"))
         data["line_cycle_time"] = raw
         assert hl.report_from_dict(data) == balanced
 
-    @pytest.mark.parametrize("method", [None, "fastest"])
+    @pytest.mark.parametrize("method", [None, "fastest", "exhaustive"])
     def test_method_must_be_a_known_one(self, balanced, method):
-        data = hl.report_to_dict(balanced)
+        # "exhaustive" is a search the tests run, not a method the library can rerun
+        data = json.loads(hl.emit_report(balanced, "json"))
         data["method"] = method
         with pytest.raises(
             ParseError,
-            match=rf"^malformed balance report: expected one of \['greedy', 'optimal', 'exhaustive'\], got {method!r}$",
+            match=rf"^malformed balance report: expected one of \['greedy', 'optimal'\], got {method!r}$",
         ):
             hl.report_from_dict(data)
 
@@ -520,7 +553,7 @@ class TestReportRoundTrips:
 
     def test_non_report_object_rejected(self):
         with pytest.raises(DomainError, match="^cannot serialize Task$"):
-            hl.report_to_dict(hl.Task(id=1, description="x", cycle_time=5))
+            json.loads(hl.emit_report(hl.Task(id=1, description="x", cycle_time=5), "json"))
         with pytest.raises(DomainError, match="^cannot serialize dict$"):
             hl.emit_report({}, format="json")
         with pytest.raises(DomainError, match="^cannot render dict$"):
@@ -593,6 +626,14 @@ class TestPlotData:
 # conservation: mutating one of those may only decode back to the original.
 # The run's outputs they do not fix stay free: a queue-length value, and a
 # utilization value inside [0, 1]. So do its inputs: plan, allocation, config.
+#
+# A productivity or comparison document is not rebuilt from a plan either; no
+# period is stored, so line_cycle_time, output_per_hour and workers stay free.
+# The identities fix the rest: upph is output_per_hour / workers, each
+# idle_fraction is 1 - its utilization, every utilization is a share in (0, 1]
+# and the largest is exactly 1. A comparison's two improvements and its
+# output_ratio follow from its two sides. Mutating any of those figures may
+# only decode back to the original.
 
 _SHIRT = hl.load_tasks(hl.fixture_path("shirt_main_assembly.csv"))
 _SHIRT_DEVIATIONS = hl.load_deviations(hl.fixture_path("shirt_deviations.csv"))
@@ -677,9 +718,28 @@ def _balance_and_robust_reports(draw):
 
 
 @st.composite
+def _productivity_reports(draw):
+    """A productivity report or a comparison of the shirt line, or of a 1-5 task
+    line over a drawn period."""
+    if draw(st.booleans()):
+        plan = hl.ProcessPlan(tasks=_SHIRT, seat_budget=32)
+    else:
+        n = draw(st.integers(1, 5))
+        times = draw(st.lists(st.fractions(5, 120, max_denominator=4), min_size=n, max_size=n))
+        plan = hl.ProcessPlan(
+            tasks=[hl.Task(id=i + 1, description=f"op {i + 1}", cycle_time=t) for i, t in enumerate(times)],
+            seat_budget=n + draw(st.integers(0, 6)), period=draw(st.sampled_from([3600, 1800, 28800])),
+        )
+    alloc = hl.greedy_balance(plan).allocation
+    if draw(st.booleans()):
+        return hl.productivity_report(plan, alloc)
+    return hl.compare(plan, hl.Allocation.ones(plan), alloc)
+
+
+@st.composite
 def _mutated_documents(draw, reports):
     original = draw(reports)
-    data = hl.report_to_dict(original)
+    data = json.loads(hl.emit_report(original, "json"))
     paths = list(_paths(data))[1:]
     if isinstance(original, hl.SimResult):
         k = draw(st.integers(0, len(data["wip_timeseries"]) - 1))
@@ -702,6 +762,8 @@ def _mutated_documents(draw, reports):
 
 
 def _determined(kind, path):
+    if kind in ("productivity", "comparison"):
+        return path[-1] not in ("line_cycle_time", "output_per_hour", "workers")
     if kind == "balance":
         return path[0] in ("line_cycle_time", "total_stations", "throughput_per_period")
     if kind == "simulation":
@@ -721,9 +783,8 @@ def _decode_mutated(case):
         decoded = hl.parse_report(json.dumps(data))
     except ParseError:
         return None
-    if _determined(hl.report_to_dict(original)["kind"], path):
+    if _determined(_KINDS[type(original)], path):
         assert decoded == original
-    assert set(decoded.allocation.stations) == set(decoded.plan.task_ids)
     return decoded
 
 
@@ -734,6 +795,7 @@ def test_one_field_mutation_is_rejected_or_consistent(case):
     if decoded is None:
         return
     plan, alloc = decoded.plan, decoded.allocation
+    assert set(alloc.stations) == set(plan.task_ids)
     if isinstance(decoded, hl.BalanceResult):
         assert alloc.total <= plan.seat_budget
         assert decoded.line_cycle_time == max(t.cycle_time / alloc.stations[t.id] for t in plan.tasks)
@@ -752,6 +814,7 @@ def test_one_field_mutation_of_a_simulation_is_rejected_or_consistent(case):
     if decoded is None:
         return
     plan, config = decoded.plan, decoded.config
+    assert set(decoded.allocation.stations) == set(plan.task_ids)
     assert decoded.allocation.total <= plan.seat_budget
     ids = list(plan.task_ids)
     assert list(decoded.utilization) == ids and all(0 <= u <= 1 for u in decoded.utilization.values())
@@ -766,6 +829,31 @@ def test_one_field_mutation_of_a_simulation_is_rejected_or_consistent(case):
         assert list(sample.queue_lengths) == ids[1:]
         assert {type(v) for v in (*sample.queue_lengths.values(), sample.released, sample.completed)} <= {int}
         assert sample.released == sample.completed + sample.in_flight
+
+
+def _assert_productivity_identities(r):
+    shares = r.utilization.values()
+    assert r.upph == r.output_per_hour / r.workers
+    assert r.idle_fraction == {tid: 1 - u for tid, u in r.utilization.items()}
+    assert max(shares) == 1 and min(shares) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_mutated_documents(_productivity_reports()))
+def test_one_field_mutation_of_a_productivity_report_is_rejected_or_consistent(case):
+    decoded = _decode_mutated(case)
+    if isinstance(decoded, hl.ProductivityReport):
+        _assert_productivity_identities(decoded)
+    elif decoded is not None:
+        before, after = decoded.before, decoded.after
+        _assert_productivity_identities(before)
+        _assert_productivity_identities(after)
+        assert decoded.improvement == (after.upph - before.upph) / before.upph
+        printed = [hl.truncate_decimals(r.upph, 2) for r in (before, after)]
+        assert decoded.improvement_displayed == (
+            decoded.improvement if printed[0] == 0 else (printed[1] - printed[0]) / printed[0]
+        )
+        assert decoded.output_ratio == after.output_per_hour / before.output_per_hour
 
 
 # ------------------------------------------------ the JSON writer's oracle
@@ -861,7 +949,7 @@ def _any_report(draw):
 @given(report=_any_report())
 def test_json_writer_matches_the_dict_encoder(report):
     assert hl.emit_report(report, "json") == _oracle_json(report)
-    assert hl.report_to_dict(report) == json.loads(_oracle_json(report))
+    assert json.loads(hl.emit_report(report, "json")) == json.loads(_oracle_json(report))
 
 
 def test_json_writer_oracle_sees_each_awkward_case(shirt_plan, devs_plan, balanced):
