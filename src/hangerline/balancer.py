@@ -49,27 +49,44 @@ class BalanceResult:
         return self.allocation.total
 
 
-def _add_seats(
-    plan: ProcessPlan, stations: dict[int, int], target_ct=None
-) -> list[tuple[int, Fraction]]:
-    """Add one station at a time to the bottleneck, in place, until the seat
-    budget is spent or the line cycle time is at most target_ct.
+def _key(n: int, d: int, task_id: int) -> tuple[float, Fraction, int]:
+    """Max-heap key (-n/d as a float, -n/d exact, id) of effective time n/d.
 
-    A max-heap keyed (-t_i / s_i, id) holds the bottleneck on top, lowest id
-    on ties. Returns (task id, line cycle time after the split) per station.
+    Int true division rounds correctly, so the float lead is monotone in the
+    exact time: it decides almost every compare, equal leads fall through to
+    the Fraction, and the order is exactly (-t_i/s_i, id). A lead past the
+    largest float is inf; underflow to 0.0 is monotone already.
     """
-    cycle = {t.id: t.cycle_time for t in plan.tasks}
-    heap = [(-cycle[i] / s, i) for i, s in stations.items()]
+    try:
+        lead = n / d
+    except OverflowError:
+        lead = float("inf")
+    return -lead, Fraction(-n, d), task_id
+
+
+def _add_seats(
+    plan: ProcessPlan, allocation: Allocation, target_ct=None
+) -> list[tuple[int, Fraction]]:
+    """Add one station at a time to the bottleneck, in place in the allocation
+    (validated once: its counts only grow by one from ints >= 1), until the
+    seat budget is spent or the line cycle time is at most target_ct.
+
+    A max-heap of _key(t_i, s_i) holds the bottleneck on top, lowest id on
+    ties. Returns (task id, line cycle time after the split) per station.
+    """
+    stations = allocation.stations
+    ratios = {task_id: (n, d) for task_id, n, d in plan._ratios}
+    heap = [_key(n, d * stations[i], i) for i, n, d in plan._ratios]
     heapq.heapify(heap)
     seats = sum(stations.values())
     iterations: list[tuple[int, Fraction]] = []
-    # the heap top's time is the line cycle time
-    while seats < plan.seat_budget and (target_ct is None or -heap[0][0] > target_ct):
-        split = heap[0][1]
+    while seats < plan.seat_budget and (target_ct is None or -heap[0][1] > target_ct):
+        split = heap[0][2]
         stations[split] += 1
         seats += 1
-        heapq.heapreplace(heap, (-cycle[split] / stations[split], split))
-        iterations.append((split, line_cycle_time(plan, Allocation(stations))))
+        n, d = ratios[split]
+        heapq.heapreplace(heap, _key(n, d * stations[split], split))
+        iterations.append((split, line_cycle_time(plan, allocation)))
     return iterations
 
 
@@ -97,8 +114,8 @@ def greedy_balance(plan: ProcessPlan, target_ct=None) -> BalanceResult:
         if target_ct <= 0:
             raise DomainError(f"target_ct must be > 0, got {target_ct}")
 
-    stations = {t.id: 1 for t in plan.tasks}
-    return _result("greedy", plan, stations, _add_seats(plan, stations, target_ct))
+    allocation = Allocation.ones(plan)
+    return _result("greedy", plan, allocation.stations, _add_seats(plan, allocation, target_ct))
 
 
 def optimal_balance(plan: ProcessPlan) -> BalanceResult:
@@ -116,8 +133,8 @@ def optimal_balance(plan: ProcessPlan) -> BalanceResult:
     """
     spare = plan.seat_budget - len(plan.tasks)
     work = work_content(plan)
-    stations = {t.id: max(1, t.cycle_time * spare // work) for t in plan.tasks}
-    start_ct = line_cycle_time(plan, Allocation(stations))
-    iterations = _add_seats(plan, stations)
+    allocation = Allocation({t.id: max(1, t.cycle_time * spare // work) for t in plan.tasks})
+    start_ct = line_cycle_time(plan, allocation)
+    iterations = _add_seats(plan, allocation)
     cts = [start_ct, *(ct for _, ct in iterations)]
-    return _result("optimal", plan, stations, iterations[cts.index(cts[-1]):])
+    return _result("optimal", plan, allocation.stations, iterations[cts.index(cts[-1]):])

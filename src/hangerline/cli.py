@@ -29,6 +29,9 @@ MAX_ALPHA_POINTS = 10_000
 # the largest --seats any subcommand accepts, about 3x the largest lines in
 # view (~3000 seats); balancing time grows with every seat
 MAX_SEATS = 10_000
+# the most tasks x alpha points sweep takes on: ~4 s and ~160 MB (250 tasks x
+# 800 points ran 3.7 s at a 160 MB peak on one core of a 2-vCPU Xeon)
+MAX_SWEEP_CELLS = 200_000
 # the most stage visits plus WIP samples simulate takes on: ~4 s at ~500k visits/s
 # (the 1,100 h shirt run, 1.88M visits, on one core of a 2-vCPU Xeon)
 MAX_SIM_EVENTS = 2_000_000
@@ -97,8 +100,11 @@ def cmd_robust(args) -> int:
 def cmd_sweep(args) -> int:
     plan = _plan_from_args(args)
     deviations = load_deviations(args.deviations)
-    allocation = greedy_balance(plan).allocation
     grid = _parse_alpha_grid(args.alphas)
+    cells = len(plan.tasks) * len(grid)
+    if cells > MAX_SWEEP_CELLS:
+        raise DomainError(f"--alphas grid needs {cells} task x alpha cells, above the limit of {MAX_SWEEP_CELLS}")
+    allocation = greedy_balance(plan).allocation
     sweep = alpha_sweep(plan, allocation, deviations, grid)
     sys.stdout.write(emit_plot_data(sweep))
     return 0

@@ -325,8 +325,8 @@ def _codec(hint):
 
 def report_from_dict(data: dict):
     """The report object of a JSON document read into plain data. Each kind is
-    rebuilt from its inputs or identities (a balance's iterations are not
-    rerun) and must equal the decoded document; a derived key it states must
+    rebuilt from its inputs or identities (a balance's iterations are checked,
+    not rerun) and must equal the decoded document; a derived key it states must
     equal the rebuilt value as a number."""
     try:
         kind = data["kind"]
@@ -475,8 +475,31 @@ def _sim_table(r: SimResult) -> str:
 
 
 def _rebuild_balance(r: BalanceResult) -> BalanceResult:
+    """The document with its allocation's line cycle time. Its iterations are
+    checked in one pass, not rerun: plan task ids, CTs that never rise and end
+    at the line's (an optimal run's all equal it), and one split per station
+    beyond the first (an optimal run's at most that)."""
     _require_staffable(r.plan, r.allocation)
-    return dataclasses.replace(r, line_cycle_time=line_cycle_time(r.plan, r.allocation))
+    ct = line_cycle_time(r.plan, r.allocation)
+    greedy = r.method == "greedy"
+    splits = dict.fromkeys(r.plan.task_ids, 0)
+    before = r.iterations[0][1] if r.iterations else ct
+    for k, (task_id, after) in enumerate(r.iterations):
+        if task_id not in splits:
+            raise ValueError(f"iterations[{k}]: task {task_id} is not in the plan")
+        if after > before:
+            raise ValueError(f"iterations[{k}]: line cycle time {after} rises from {before}")
+        if not greedy and after != ct:
+            raise ValueError(f"iterations[{k}]: line cycle time {after} of an optimal run is not the line's {ct}")
+        splits[task_id] += 1
+        before = after
+    if before != ct:
+        raise ValueError(f"iterations: the last line cycle time {before} is not the line's {ct}")
+    seats = r.allocation.stations
+    wrong = [i for i, n in splits.items() if (n != seats[i] - 1 if greedy else n >= seats[i])]
+    if wrong:
+        raise ValueError(f"iterations: the splits of tasks {wrong} do not match their stations beyond the first")
+    return dataclasses.replace(r, line_cycle_time=ct)
 
 
 def _decode_samples(raw, plan, config) -> tuple[WipSample, ...]:
@@ -509,8 +532,11 @@ def _decode_samples(raw, plan, config) -> tuple[WipSample, ...]:
 
 def _rebuild_productivity(r: ProductivityReport) -> ProductivityReport:
     """The report its stored figures give (no period is stored, so the line
-    cycle time, output and workers are taken as given); each utilization must
-    be a share in (0, 1], the bottleneck's exactly 1."""
+    cycle time, output and workers are taken as given, the cycle time if
+    positive); each utilization must be a share in (0, 1], the bottleneck's
+    exactly 1."""
+    if r.line_cycle_time <= 0:
+        raise ValueError(f"line_cycle_time must be > 0, got {r.line_cycle_time}")
     shares = r.utilization.values()
     if not shares or max(shares) != 1 or min(shares) <= 0:
         raise ValueError("utilization must give each task a share in (0, 1], the largest exactly 1")
@@ -583,11 +609,17 @@ def emit_plot_data(sweep) -> str:
     sweep = tuple(sweep)
     if not sweep:
         raise DomainError("sweep is empty")
+    text: dict[tuple[int, int], str] = {}  # (numerator, denominator) -> cell: each value is formatted once
     rows = []
     for alpha, report in sweep:
         alpha = format_number(alpha)
         ivs = report.intervals
         series = [(t.id, ivs[t.id].nominal, ivs[t.id].lo, ivs[t.id].hi) for t in report.plan.tasks]
         series.append(("LINE", report.line_ct_regular, report.line_ct_best, report.line_ct_worst))
-        rows += [(label, alpha, *map(format_number, cts)) for label, *cts in series]
+        for label, *cts in series:
+            row = [label, alpha]
+            for x in cts:
+                key = x.numerator, x.denominator
+                row.append(text.get(key) or text.setdefault(key, format_number(x)))
+            rows.append(row)
     return _csv_text(("task_id", "alpha", "regular_ct", "best_ct", "worst_ct"), rows)

@@ -114,6 +114,9 @@ class ProcessPlan:
                 f"seat budget {self.seat_budget} cannot cover {len(self.tasks)} tasks "
                 "(every task needs at least one station)"
             )
+        # (id, numerator, denominator) of each cycle time, for line_cycle_time and
+        # the solvers; not a field, so eq, hash, repr and JSON do not see it
+        object.__setattr__(self, "_ratios", tuple((t.id, *t.cycle_time.as_integer_ratio()) for t in self.tasks))
 
     @property
     def task_ids(self) -> tuple[int, ...]:
@@ -196,9 +199,8 @@ def line_cycle_time(plan: ProcessPlan, allocation: Allocation) -> Fraction:
     _require_coverage(plan, allocation)
     stations = allocation.stations
     top_n, top_d = 0, 1
-    for t in plan.tasks:
-        ct = t.cycle_time
-        n, d = ct.numerator, ct.denominator * stations[t.id]
+    for task_id, n, d in plan._ratios:
+        d *= stations[task_id]
         if n * top_d > top_n * d:
             top_n, top_d = n, d
     return Fraction(top_n, top_d)

@@ -104,6 +104,51 @@ class TestOptimal:
         assert result.line_cycle_time == Fraction(110, 3)
 
 
+class TestHeapKeyOrder:
+    """The heap compares a float lead first; these lines defeat a float-only key."""
+
+    def test_equal_float_leads_split_the_exactly_larger_time(self):
+        near_one = Fraction(2**53 + 1, 2**53)
+        assert float(near_one) == 1.0
+        result = hl.greedy_balance(make_plan([1, near_one], 3))
+        assert result.iterations == ((2, Fraction(1)),)
+
+    def test_exact_ties_split_the_lowest_id(self):
+        # plan order is not id order; equal times give equal leads and exact keys
+        tasks = [hl.Task(id=i, description=f"op {i}", cycle_time=Fraction(1, 3)) for i in (3, 1, 2)]
+        result = hl.greedy_balance(hl.ProcessPlan(tasks=tasks, seat_budget=5))
+        assert [task_id for task_id, _ in result.iterations] == [1, 2]
+
+    @pytest.mark.parametrize("times", [
+        # leads past the largest float: 10**400 / s overflows for every s here
+        [Fraction(10**400), Fraction(3 * 10**399), 7],
+        # leads that underflow to 0.0
+        [Fraction(1, 10**400), Fraction(3, 10**401), Fraction(1, 7 * 10**399)],
+    ], ids=["overflow", "underflow"])
+    def test_extreme_times_match_the_oracle(self, times):
+        plan = make_plan(times, 7)
+        greedy, optimal = hl.greedy_balance(plan), hl.optimal_balance(plan)
+        assert greedy.line_cycle_time == optimal.line_cycle_time == exhaustive_balance(plan).line_cycle_time
+        assert greedy.allocation == optimal.allocation
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    units=st.lists(st.tuples(st.integers(1, 3), st.integers(-2, 2)), min_size=1, max_size=5),
+    extra=st.integers(0, 5),
+)
+def test_near_tie_lines_split_the_exact_bottleneck(units, extra):
+    # times a + k/2**53 differ below the float spacing near a, so most leads tie
+    times = [Fraction(a * 2**53 + k, 2**53) for a, k in units]
+    plan = make_plan(times, len(times) + extra)
+    result = hl.greedy_balance(plan)
+    assert result.line_cycle_time == exhaustive_balance(plan).line_cycle_time
+    stations = dict.fromkeys(plan.task_ids, 1)
+    for task_id, _ in result.iterations:
+        assert task_id == min(stations, key=lambda i: (-times[i - 1] / stations[i], i))
+        stations[task_id] += 1
+
+
 class TestExhaustive:
     def test_known_small_instances(self):
         plan = make_plan([9, 6, 3], 6)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import hangerline as hl
 import hangerline.cli as cli
-from hangerline.cli import MAX_ALPHA_POINTS, MAX_SEATS, MAX_SIM_EVENTS, main
+from hangerline.cli import MAX_ALPHA_POINTS, MAX_SEATS, MAX_SIM_EVENTS, MAX_SWEEP_CELLS, main
 
 
 def run(capsys, *argv):
@@ -158,6 +158,30 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "--alphas" in err and str(MAX_ALPHA_POINTS) in err
+
+    def test_grid_above_the_cell_limit_exits_2_before_balancing(self, capsys, tmp_path, monkeypatch):
+        # 25 tasks x 10,000 points: each limit on its own would let it through
+        rows = "".join(f"{i},op {i},{30 + i},1,1\n" for i in range(1, 26))
+        tasks = tmp_path / "tasks.csv"
+        tasks.write_text("task_id,description,cycle_time_sec,dev_plus_sec,dev_minus_sec\n" + rows)
+        deviations = tmp_path / "devs.csv"
+        deviations.write_text("task_id,dev_plus_sec,dev_minus_sec\n" + "".join(f"{i},1,1\n" for i in range(1, 26)))
+        assert 25 * MAX_ALPHA_POINTS > MAX_SWEEP_CELLS
+        monkeypatch.setattr(cli, "greedy_balance", None)  # any work past the check fails with a traceback
+        code, out, err = run(
+            capsys, "sweep", "--tasks", str(tasks), "--seats", "50",
+            "--deviations", str(deviations), "--alphas", "0.0001:1:0.0001",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --alphas grid needs 250000 task x alpha cells, above the limit of {MAX_SWEEP_CELLS}\n"
+
+    def test_cell_limit_counts_tasks_times_points(self, capsys, tasks_csv_path, deviations_csv_path, monkeypatch):
+        shirt = ["sweep", "--tasks", tasks_csv_path, "--seats", "32", "--deviations", deviations_csv_path,
+                 "--alphas", "0.01:1:0.01"]
+        monkeypatch.setattr(cli, "MAX_SWEEP_CELLS", 19 * 100)
+        assert run(capsys, *shirt)[0] == 0
+        monkeypatch.setattr(cli, "MAX_SWEEP_CELLS", 19 * 100 - 1)
+        assert run(capsys, *shirt)[:2] == (2, "")
 
     def test_malformed_grid(self, capsys, tasks_csv_path, deviations_csv_path):
         code, _, err = run(

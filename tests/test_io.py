@@ -1,4 +1,5 @@
 """CSV and JSON interchange: task tables, reports, plot data."""
+import collections
 import dataclasses
 import enum
 import hashlib
@@ -359,6 +360,25 @@ class TestReportRoundTrips:
         with pytest.raises(ParseError, match=r"fields \['line_cycle_time'\] disagree with its inputs$"):
             hl.report_from_dict(data)
 
+    @pytest.mark.parametrize("method, tamper, message", [
+        ("greedy", lambda d: d["iterations"].reverse(), r"iterations\[1\]: line cycle time 50 rises from 40$"),
+        ("greedy", lambda d: d.update(iterations=[[1, "1"]]), r"iterations\[0\]: task 1 is not in the plan$"),
+        ("greedy", lambda d: d.update(iterations=[[25, "40"]]),
+         r"iterations: the splits of tasks \[21, 35, .*\] do not match their stations beyond the first$"),
+        ("greedy", lambda d: d["iterations"].pop(), r"iterations: the last line cycle time 50 is not the line's 40$"),
+        ("optimal", lambda d: d.update(iterations=[[25, "50"]]),
+         r"iterations\[0\]: line cycle time 50 of an optimal run is not the line's 40$"),
+        ("optimal", lambda d: d.update(iterations=[[21, "40"]] * 2),
+         r"iterations: the splits of tasks \[21\] do not match their stations beyond the first$"),
+    ], ids=["reversed", "foreign_task", "too_few_splits", "last_ct", "optimal_ct", "optimal_splits"])
+    def test_balance_document_breaking_an_iteration_identity_rejected(self, shirt_plan, method, tamper, message):
+        # iterations are checked against their identities, not rerun
+        result = hl.greedy_balance(shirt_plan) if method == "greedy" else hl.optimal_balance(shirt_plan)
+        data = json.loads(hl.emit_report(result, "json"))
+        tamper(data)
+        with pytest.raises(ParseError, match=r"^malformed balance report: " + message):
+            hl.parse_report(json.dumps(data))
+
     def test_simulation_document_with_release_key_parses(self, shirt_plan, balanced):
         # documents written before SimConfig lost its single-valued release knob
         run = hl.simulate(shirt_plan, balanced.allocation, SimConfig(horizon_s=600))
@@ -412,10 +432,14 @@ class TestReportRoundTrips:
         ("comparison", lambda d: (d["before"].update(upph="999"), d["after"].update(upph="999")),
          r"fields \['before', 'after'\] disagree with its inputs$"),
         ("comparison", lambda d: d.update(output_ratio="5"), r"fields \['output_ratio'\] disagree with its inputs$"),
-    ], ids=["upph", "idle_fraction", "utilization", "both_upph", "output_ratio"])
+        ("productivity", lambda d: d.update(line_cycle_time="-1"), r"line_cycle_time must be > 0, got -1$"),
+        ("productivity", lambda d: d.update(line_cycle_time="0"), r"line_cycle_time must be > 0, got 0$"),
+        ("comparison", lambda d: d["before"].update(line_cycle_time="0"), r"line_cycle_time must be > 0, got 0$"),
+    ], ids=["upph", "idle_fraction", "utilization", "both_upph", "output_ratio", "negative_ct", "zero_ct",
+            "zero_ct_before"])
     def test_productivity_document_breaking_an_identity_rejected(self, shirt_plan, balanced, kind, tamper, message):
-        # no period is stored, so line_cycle_time, output_per_hour and workers
-        # are free; UPPH, idle fractions and the comparison figures follow
+        # no period is stored, so line_cycle_time (if positive), output_per_hour
+        # and workers are free; UPPH, idle fractions and the comparison figures follow
         if kind == "productivity":
             report = hl.productivity_report(shirt_plan, balanced.allocation)
         else:
@@ -618,6 +642,9 @@ class TestPlotData:
 # give a report that the independent Fraction reference reproduces from the
 # decoded inputs. A figure the inputs determine (the line cycle time, a robust
 # line figure, an interval's lo or hi) may only decode back to the original.
+# A balance's iterations are not rerun; a decoded one must satisfy their
+# identities: plan task ids, line CTs that never rise and end at the line's,
+# and one split per station beyond the first (at most that for optimal).
 #
 # A simulation document is not replayed, so only its identities are checked:
 # a decoded one must satisfy them all. They fix the sample grid (the number of
@@ -628,7 +655,8 @@ class TestPlotData:
 # utilization value inside [0, 1]. So do its inputs: plan, allocation, config.
 #
 # A productivity or comparison document is not rebuilt from a plan either; no
-# period is stored, so line_cycle_time, output_per_hour and workers stay free.
+# period is stored, so line_cycle_time (if positive), output_per_hour and
+# workers stay free.
 # The identities fix the rest: upph is output_per_hour / workers, each
 # idle_fraction is 1 - its utilization, every utilization is a share in (0, 1]
 # and the largest is exactly 1. A comparison's two improvements and its
@@ -711,7 +739,7 @@ def _balance_and_robust_reports(draw):
         nominal = hl.effective_intervals(plan, balanced.allocation)
         deviations = {tid: (draw(share) * iv.nominal, draw(share) * iv.nominal) for tid, iv in nominal.items()}
     if draw(st.booleans()):
-        return balanced
+        return hl.optimal_balance(plan) if draw(st.booleans()) else balanced
     alpha = draw(st.fractions(Fraction(1, 10), 1, max_denominator=10))
     intervals = hl.effective_intervals(plan, balanced.allocation, alpha, deviations)
     return hl.robust_line_report(plan, balanced.allocation, intervals)
@@ -799,6 +827,14 @@ def test_one_field_mutation_is_rejected_or_consistent(case):
     if isinstance(decoded, hl.BalanceResult):
         assert alloc.total <= plan.seat_budget
         assert decoded.line_cycle_time == max(t.cycle_time / alloc.stations[t.id] for t in plan.tasks)
+        cts = [decoded.line_cycle_time, *(ct for _, ct in decoded.iterations)]
+        assert cts[1:] == sorted(cts[1:], reverse=True) and cts[-1] == cts[0]
+        splits = collections.Counter(task_id for task_id, _ in decoded.iterations)
+        assert set(splits) <= set(plan.task_ids)
+        if decoded.method == "greedy":
+            assert all(splits[i] == n - 1 for i, n in alloc.stations.items())
+        else:
+            assert set(cts) == {cts[0]} and all(splits[i] < n for i, n in alloc.stations.items())
     else:
         rebuilt = {
             tid: _ref_ct_interval(iv.nominal, iv.d_plus, iv.d_minus, iv.alpha)
@@ -835,7 +871,7 @@ def _assert_productivity_identities(r):
     shares = r.utilization.values()
     assert r.upph == r.output_per_hour / r.workers
     assert r.idle_fraction == {tid: 1 - u for tid, u in r.utilization.items()}
-    assert max(shares) == 1 and min(shares) > 0
+    assert max(shares) == 1 and min(shares) > 0 and r.line_cycle_time > 0
 
 
 @settings(max_examples=200, deadline=None)
