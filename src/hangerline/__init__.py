@@ -1,123 +1,51 @@
 """Line balancing, productivity metrics, uncertainty bounds and discrete-event
-simulation for one-piece-flow hanger sewing lines."""
-from .balancer import BalanceResult, greedy_balance, optimal_balance
-from .errors import (
-    DomainError,
-    InfeasibleError,
-    InvariantError,
-    ParseError,
-)
-from .io import (
-    emit_plot_data,
-    emit_report,
-    emit_tasks,
-    fixture_path,
-    format_number,
-    format_percent,
-    format_seconds,
-    format_upph,
-    load_deviations,
-    load_tasks,
-    parse_deviations,
-    parse_report,
-    parse_tasks,
-    report_from_dict,
-)
-from .metrics import (
-    Comparison,
-    ProductivityReport,
-    compare,
-    eff_improvement,
-    productivity_report,
-    truncate_decimals,
-    upph,
-)
-from .model import (
-    MAX_DECIMAL_EXPONENT,
-    SECONDS_PER_HOUR,
-    Allocation,
-    ProcessPlan,
-    Task,
-    as_fraction,
-    bottleneck_tasks,
-    line_cycle_time,
-    parallel_lower_bound,
-    throughput,
-    work_content,
-)
-from .robust import (
-    CtInterval,
-    RobustReport,
-    alpha_sweep,
-    ct_interval,
-    effective_intervals,
-    robust_line_report,
-)
-from .simulator import (
-    SimConfig,
-    SimResult,
-    VerifyCheck,
-    VerifyResult,
-    WipSample,
-    queue_trend,
-    simulate,
-    verify_against_static,
-)
+simulation for one-piece-flow hanger sewing lines.
+
+Each public name is loaded from its module on first use (PEP 562), so
+`import hangerline` loads no submodule and a caller compiles only the modules
+it uses. A name is looked up in its module on every access and never cached
+here, so a name rebound in its module reads the same through the package.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Allocation",
-    "BalanceResult",
-    "Comparison",
-    "CtInterval",
-    "DomainError",
-    "InfeasibleError",
-    "InvariantError",
-    "MAX_DECIMAL_EXPONENT",
-    "ParseError",
-    "ProcessPlan",
-    "ProductivityReport",
-    "RobustReport",
-    "SECONDS_PER_HOUR",
-    "SimConfig",
-    "SimResult",
-    "Task",
-    "VerifyCheck",
-    "VerifyResult",
-    "WipSample",
-    "alpha_sweep",
-    "as_fraction",
-    "bottleneck_tasks",
-    "compare",
-    "ct_interval",
-    "eff_improvement",
-    "effective_intervals",
-    "emit_plot_data",
-    "emit_report",
-    "emit_tasks",
-    "fixture_path",
-    "format_number",
-    "format_percent",
-    "format_seconds",
-    "format_upph",
-    "greedy_balance",
-    "line_cycle_time",
-    "load_deviations",
-    "load_tasks",
-    "optimal_balance",
-    "parallel_lower_bound",
-    "parse_deviations",
-    "parse_report",
-    "parse_tasks",
-    "productivity_report",
-    "queue_trend",
-    "report_from_dict",
-    "robust_line_report",
-    "simulate",
-    "throughput",
-    "truncate_decimals",
-    "upph",
-    "verify_against_static",
-    "work_content",
-]
+# module -> the public names it defines
+_NAMES = {
+    "balancer": ("BalanceResult", "greedy_balance", "optimal_balance"),
+    "errors": ("DomainError", "InfeasibleError", "InvariantError", "ParseError"),
+    "io": (
+        "emit_plot_data", "emit_report", "emit_tasks", "fixture_path", "format_number", "format_percent",
+        "format_seconds", "format_upph", "load_deviations", "load_tasks", "parse_deviations", "parse_report",
+        "parse_tasks", "report_from_dict",
+    ),
+    "metrics": (
+        "Comparison", "ProductivityReport", "compare", "eff_improvement", "productivity_report",
+        "truncate_decimals", "upph",
+    ),
+    "model": (
+        "MAX_DECIMAL_EXPONENT", "SECONDS_PER_HOUR", "Allocation", "ProcessPlan", "Task", "as_fraction",
+        "bottleneck_tasks", "line_cycle_time", "parallel_lower_bound", "throughput", "work_content",
+    ),
+    "robust": (
+        "CtInterval", "RobustReport", "alpha_sweep", "ct_interval", "effective_intervals", "robust_line_report",
+    ),
+    "simulator": (
+        "SimConfig", "SimResult", "VerifyCheck", "VerifyResult", "WipSample", "queue_trend", "simulate",
+        "verify_against_static",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

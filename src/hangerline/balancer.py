@@ -12,16 +12,20 @@ Two routes to an allocation, on one heap loop:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal
 
 from .errors import DomainError
+from .io import _REPORTS, _Kind, _render_columns, format_number, format_seconds
 from .model import (
     Allocation,
     ProcessPlan,
+    _effective_times,
+    _require_staffable,
     as_fraction,
     line_cycle_time,
+    throughput,
     work_content,
 )
 
@@ -138,3 +142,55 @@ def optimal_balance(plan: ProcessPlan) -> BalanceResult:
     iterations = _add_seats(plan, allocation)
     cts = [start_ct, *(ct for _, ct in iterations)]
     return _result("optimal", plan, allocation.stations, iterations[cts.index(cts[-1]):])
+
+
+# ----------------------- balance report: table and rebuild, registered with io
+
+def _balance_table(result: BalanceResult) -> str:
+    times = _effective_times(result.plan, result.allocation)
+    seats = result.allocation.stations
+    rows = [
+        (str(t.id), t.description, format_seconds(t.cycle_time), str(seats[t.id]), format_seconds(ct))
+        for t, ct in zip(result.plan.tasks, times.values())
+    ]
+    table = _render_columns(("task", "description", "cycle_time_sec", "stations", "effective_ct_sec"), rows)
+    totals = (
+        f"total: {result.total_stations} seats; line cycle time "
+        f"{format_seconds(result.line_cycle_time)} sec/pc (output pace); "
+        f"{format_number(throughput(result.line_cycle_time, result.plan.period))} pc "
+        f"per {format_number(result.plan.period)} s; method {result.method}"
+    )
+    return f"{table}\n{totals}\n"
+
+
+def _rebuild_balance(r: BalanceResult) -> BalanceResult:
+    """An optimal document is a rerun of optimal_balance on its plan. A greedy
+    one is the document with its allocation's line cycle time; its iterations
+    are checked in one pass, not rerun: plan task ids, CTs that never rise and
+    end at the line's, and one split per station beyond the first."""
+    if r.method == "optimal":
+        return optimal_balance(r.plan)
+    _require_staffable(r.plan, r.allocation)
+    ct = line_cycle_time(r.plan, r.allocation)
+    splits = dict.fromkeys(r.plan.task_ids, 0)
+    before = r.iterations[0][1] if r.iterations else ct
+    for k, (task_id, after) in enumerate(r.iterations):
+        if task_id not in splits:
+            raise ValueError(f"iterations[{k}]: task {task_id} is not in the plan")
+        if after > before:
+            raise ValueError(f"iterations[{k}]: line cycle time {after} rises from {before}")
+        splits[task_id] += 1
+        before = after
+    if before != ct:
+        raise ValueError(f"iterations: the last line cycle time {before} is not the line's {ct}")
+    seats = r.allocation.stations
+    wrong = [i for i, n in splits.items() if n != seats[i] - 1]
+    if wrong:
+        raise ValueError(f"iterations: the splits of tasks {wrong} do not match their stations beyond the first")
+    return replace(r, line_cycle_time=ct)
+
+
+_REPORTS[BalanceResult] = _Kind("balance", _balance_table, _rebuild_balance, lambda r: {
+    "total_stations": r.total_stations,
+    "throughput_per_period": str(throughput(r.line_cycle_time, r.plan.period)),
+})

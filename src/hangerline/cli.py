@@ -3,6 +3,7 @@
 Subcommands: balance, compare, robust, sweep, simulate. Exit codes: 0 on
 success, 2 for input or parse problems, 3 for an infeasible seat budget,
 4 for internal invariant failures or a failed --verify.
+The subcommands that run metrics, robust or simulator import them.
 """
 from __future__ import annotations
 
@@ -13,16 +14,8 @@ from fractions import Fraction
 
 from .balancer import greedy_balance, optimal_balance
 from .errors import DomainError, InfeasibleError, InvariantError, ParseError
-from .io import (
-    emit_plot_data,
-    emit_report,
-    load_deviations,
-    load_tasks,
-)
-from .metrics import compare
+from .io import emit_plot_data, emit_report, load_deviations, load_tasks
 from .model import SECONDS_PER_HOUR, Allocation, ProcessPlan, as_fraction
-from .robust import alpha_sweep, effective_intervals, robust_line_report
-from .simulator import SimConfig, _tolerance, simulate, verify_against_static
 
 # the largest --alphas grid sweep accepts; each point is a full robust report
 MAX_ALPHA_POINTS = 10_000
@@ -80,6 +73,7 @@ def cmd_balance(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .metrics import compare
     plan = _plan_from_args(args)
     comparison = compare(plan, Allocation.ones(plan), greedy_balance(plan).allocation)
     sys.stdout.write(emit_report(comparison, "table"))
@@ -87,6 +81,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_robust(args) -> int:
+    from .robust import effective_intervals, robust_line_report
     plan = _plan_from_args(args)
     deviations = load_deviations(args.deviations)
     allocation = greedy_balance(plan).allocation
@@ -98,6 +93,7 @@ def cmd_robust(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .robust import alpha_sweep
     plan = _plan_from_args(args)
     deviations = load_deviations(args.deviations)
     grid = _parse_alpha_grid(args.alphas)
@@ -111,6 +107,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import SimConfig, _tolerance, simulate, verify_against_static
     plan = _plan_from_args(args)
     # checked before the run, so a bad --tol costs no simulation
     tolerance = _number("--tol", args.tol, _tolerance) if args.verify else None

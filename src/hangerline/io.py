@@ -1,10 +1,14 @@
-"""Task-table ingestion, bundled fixtures, report rendering and JSON round trips.
+"""Task-table ingestion, bundled fixtures, and the report codec: tables and
+JSON round trips.
 
 Numbers cross this boundary as exact values: CSV cells parse through Decimal
 into Fractions, and JSON reports store Fractions as "numerator/denominator"
 strings. Display strings round cycle times to one decimal (half up) and cut
 UPPH figures to two decimals without rounding, because that is how the
 printed shop figures these reports sit next to are produced.
+
+The codec knows no report kind: the module that builds one registers it in
+_REPORTS on import, and report_from_dict imports those modules itself.
 """
 from __future__ import annotations
 
@@ -19,15 +23,8 @@ import typing
 from fractions import Fraction
 from pathlib import Path
 
-from .balancer import BalanceResult
 from .errors import DomainError, ParseError
-from .metrics import Comparison, ProductivityReport, _comparison, _prints_as_zero, _productivity
-from .model import (
-    SECONDS_PER_HOUR, Allocation, Task, _effective_times, _require_staffable, as_fraction, line_cycle_time,
-    throughput,
-)
-from .robust import RobustReport, _baseline_upph, robust_line_report
-from .simulator import SimResult, WipSample
+from .model import Allocation, Task, as_fraction
 
 _TASK_COLUMNS = ("task_id", "description", "cycle_time_sec", "dev_plus_sec", "dev_minus_sec")
 _TASK_REQUIRED = ("task_id", "description", "cycle_time_sec")
@@ -211,8 +208,8 @@ def fixture_path(name: str) -> Path:
 # One writer serves every report: _codec(hint) gives write(x, ind), which
 # returns x's JSON text nested at ind ("\n" plus the enclosing spaces), byte for
 # byte as json.dumps(indent=2) writes the plain data, which is never built. A
-# dataclass is an object: "kind" first for a report kind (see _REPORTS, after
-# the tables), one key per field in field order, then the kind's derived keys.
+# dataclass is an object: "kind" first for a report kind (see _REPORTS), one
+# key per field in field order, then the kind's derived keys.
 # Fractions become "num/den" strings; floats (uniform-mode utilizations) stay
 # numbers. Dicts keyed by task id get string keys, an int-valued one in a single
 # comprehension; an Allocation is its station map. report_from_dict reads it back.
@@ -242,6 +239,17 @@ def _frac_in(raw):
     if type(raw) is int or (type(raw) is float and math.isfinite(raw)):
         return raw
     raise TypeError(f"expected a finite number or a 'num/den' string, got {raw!r}")
+
+
+class _Kind(typing.NamedTuple):
+    kind: str  # the JSON tag
+    table: typing.Callable
+    rebuild: typing.Callable  # the report a decoded document must equal
+    derived: typing.Callable = lambda r: {}  # keys written after the fields, checked where stated
+    samples: typing.Callable = None  # decode(raw, plan, config) of a simulation's wip_timeseries
+
+
+_REPORTS: dict[type, _Kind] = {}  # report class -> its kind, filled in by the module that builds it
 
 
 def _dataclass_codec(cls):
@@ -325,9 +333,11 @@ def _codec(hint):
 
 def report_from_dict(data: dict):
     """The report object of a JSON document read into plain data. Each kind is
-    rebuilt from its inputs or identities (a balance's iterations are checked,
-    not rerun) and must equal the decoded document; a derived key it states must
-    equal the rebuilt value as a number."""
+    rebuilt from its inputs or identities (a greedy balance's iterations are
+    checked, not rerun) and must equal the decoded document; a derived key it
+    states must equal the rebuilt value as a number."""
+    from . import balancer, metrics, robust, simulator  # each registers its kinds
+
     try:
         kind = data["kind"]
     except (KeyError, TypeError):
@@ -373,220 +383,6 @@ def _render_columns(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str
     return "\n".join(lines)
 
 
-def _balance_table(result: BalanceResult) -> str:
-    times = _effective_times(result.plan, result.allocation)
-    seats = result.allocation.stations
-    rows = [
-        (str(t.id), t.description, format_seconds(t.cycle_time), str(seats[t.id]), format_seconds(ct))
-        for t, ct in zip(result.plan.tasks, times.values())
-    ]
-    table = _render_columns(
-        ("task", "description", "cycle_time_sec", "stations", "effective_ct_sec"), rows
-    )
-    totals = (
-        f"total: {result.total_stations} seats; line cycle time "
-        f"{format_seconds(result.line_cycle_time)} sec/pc (output pace); "
-        f"{format_number(throughput(result.line_cycle_time, result.plan.period))} pc "
-        f"per {format_number(result.plan.period)} s; method {result.method}"
-    )
-    return f"{table}\n{totals}\n"
-
-
-def _productivity_line(label: str, r: ProductivityReport) -> str:
-    return (
-        f"{label}: {format_number(r.output_per_hour)} pc/hr with {r.workers} workers; "
-        f"line CT {format_seconds(r.line_cycle_time)} sec/pc; "
-        f"UPPH {format_upph(r.upph)} ({format_number(r.upph)} exact)\n"
-    )
-
-
-def _comparison_table(c: Comparison) -> str:
-    source = (
-        "exact again, since the two-decimal printed figures start from zero"
-        if _prints_as_zero(c.before.upph)
-        else "from the two-decimal printed figures"
-    )
-    return (
-        _productivity_line("before", c.before)
-        + _productivity_line("after", c.after)
-        + f"UPPH improvement: {format_percent(c.improvement)} at full precision; "
-        f"{format_percent(c.improvement_displayed)} {source} "
-        f"({format_upph(c.before.upph)} -> {format_upph(c.after.upph)})\n"
-        f"output ratio: {format_number(c.output_ratio)}x\n"
-    )
-
-
-def _robust_table(r: RobustReport) -> str:
-    rows = []
-    for t in r.plan.tasks:
-        iv = r.intervals[t.id]
-        rows.append((str(t.id), t.description, *map(format_seconds, (iv.nominal, iv.lo, iv.hi))))
-    table = _render_columns(
-        ("task", "description", "effective_ct", "ct_minus_dev", "ct_plus_dev"), rows
-    )
-    alpha = "per-interval" if r.alpha is None else format_number(r.alpha)
-    source = (
-        "exact again, since the two-decimal printed baseline is 0.00"
-        if _prints_as_zero(_baseline_upph(r.plan))
-        else "from two-decimal printed figures"
-    )
-    lines = [
-        table,
-        f"alpha: {alpha}",
-        f"line cycle time: regular {format_seconds(r.line_ct_regular)}, "
-        f"best {format_seconds(r.line_ct_best)}, worst {format_seconds(r.line_ct_worst)} sec/pc",
-        f"throughput bounds: {r.throughput_worst}..{r.throughput_best} pc per period "
-        f"(regular {format_number(r.throughput_regular)})",
-        f"UPPH: regular {format_upph(r.upph_regular)}; "
-        f"min {format_upph(r.upph_min)} ({format_number(r.upph_min)} exact); "
-        f"max {format_upph(r.upph_max)} ({format_number(r.upph_max)} exact)",
-        f"improvement over one-station baseline: "
-        f"{format_percent(r.eff_min)}..{format_percent(r.eff_max)} exact; "
-        f"{format_percent(r.eff_min_displayed)}..{format_percent(r.eff_max_displayed)} {source}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _sim_table(r: SimResult) -> str:
-    peak = {
-        tid: max(s.queue_lengths[tid] for s in r.wip_timeseries)
-        for tid in (r.wip_timeseries[0].queue_lengths if r.wip_timeseries else {})
-    }
-    rows = [
-        (
-            str(t.id),
-            str(r.allocation.count(t.id)),
-            format_percent(r.utilization[t.id]),
-            str(peak.get(t.id, "-")),
-        )
-        for t in r.plan.tasks
-    ]
-    table = _render_columns(("task", "stations", "utilization", "peak_queue"), rows)
-    released, completed_total, in_flight = r.conservation
-    lines = [
-        f"horizon {format_number(r.config.horizon_s)} s, warmup {format_number(r.config.warmup_s)} s, "
-        f"service {r.config.service_model}, seed {r.config.seed}",
-        f"throughput: {format_number(r.throughput)} pc/hr "
-        f"({r.completed} pieces after warmup)",
-        f"pieces: released {released} = completed {completed_total} + in flight {in_flight}",
-        table,
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _rebuild_balance(r: BalanceResult) -> BalanceResult:
-    """The document with its allocation's line cycle time. Its iterations are
-    checked in one pass, not rerun: plan task ids, CTs that never rise and end
-    at the line's (an optimal run's all equal it), and one split per station
-    beyond the first (an optimal run's at most that)."""
-    _require_staffable(r.plan, r.allocation)
-    ct = line_cycle_time(r.plan, r.allocation)
-    greedy = r.method == "greedy"
-    splits = dict.fromkeys(r.plan.task_ids, 0)
-    before = r.iterations[0][1] if r.iterations else ct
-    for k, (task_id, after) in enumerate(r.iterations):
-        if task_id not in splits:
-            raise ValueError(f"iterations[{k}]: task {task_id} is not in the plan")
-        if after > before:
-            raise ValueError(f"iterations[{k}]: line cycle time {after} rises from {before}")
-        if not greedy and after != ct:
-            raise ValueError(f"iterations[{k}]: line cycle time {after} of an optimal run is not the line's {ct}")
-        splits[task_id] += 1
-        before = after
-    if before != ct:
-        raise ValueError(f"iterations: the last line cycle time {before} is not the line's {ct}")
-    seats = r.allocation.stations
-    wrong = [i for i, n in splits.items() if (n != seats[i] - 1 if greedy else n >= seats[i])]
-    if wrong:
-        raise ValueError(f"iterations: the splits of tasks {wrong} do not match their stations beyond the first")
-    return dataclasses.replace(r, line_cycle_time=ct)
-
-
-def _decode_samples(raw, plan, config) -> tuple[WipSample, ...]:
-    """A simulation's WIP samples, read against its plan and config: one per
-    sample interval from 0 to the horizon, each at its grid time, with int
-    queue lengths keyed by the plan's ids after the first, in plan order, and
-    released = completed + in_flight."""
-    ids, step = plan.task_ids[1:], config.sample_interval_s
-    keys = [str(i) for i in ids]
-    if len(raw) != config.horizon_s // step + 1:
-        raise ValueError(f"wip_timeseries has {len(raw)} samples, not one per sample interval")
-    samples, before = [], (0, 0)
-    for k, x in enumerate(raw):
-        lengths, counts = x["queue_lengths"], (x["released"], x["completed"], x["in_flight"])
-        if type(lengths) is not dict or list(lengths) != keys:
-            raise ValueError(f"wip_timeseries[{k}]: queue_lengths must be an object keyed by later task ids")
-        if {*map(type, lengths.values()), *map(type, counts)} != {int}:
-            raise TypeError(f"wip_timeseries[{k}]: queue_lengths and counts must be integers")
-        time = Fraction(k * step.numerator, step.denominator)
-        if x["time"] != str(time) and _frac_in(x["time"]) != time:  # the text as written, or its number
-            raise ValueError(f"wip_timeseries[{k}]: time {x['time']!r} is off the sample grid, expected {time}")
-        if counts[0] != counts[1] + counts[2]:
-            raise ValueError(f"wip_timeseries[{k}]: released {counts[0]} is not completed + in_flight")
-        if counts[0] < before[0] or counts[1] < before[1]:
-            raise ValueError(f"wip_timeseries[{k}]: released and completed must be at least 0 and never fall")
-        before = counts
-        samples.append(WipSample(time, dict(zip(ids, lengths.values())), *counts))
-    return tuple(samples)
-
-
-def _rebuild_productivity(r: ProductivityReport) -> ProductivityReport:
-    """The report its stored figures give (no period is stored, so the line
-    cycle time, output and workers are taken as given, the cycle time if
-    positive); each utilization must be a share in (0, 1], the bottleneck's
-    exactly 1."""
-    if r.line_cycle_time <= 0:
-        raise ValueError(f"line_cycle_time must be > 0, got {r.line_cycle_time}")
-    shares = r.utilization.values()
-    if not shares or max(shares) != 1 or min(shares) <= 0:
-        raise ValueError("utilization must give each task a share in (0, 1], the largest exactly 1")
-    return _productivity(r.line_cycle_time, r.output_per_hour, r.workers, r.utilization)
-
-
-def _rebuild_comparison(c: Comparison) -> Comparison:
-    return _comparison(_rebuild_productivity(c.before), _rebuild_productivity(c.after))
-
-
-def _rebuild_simulation(r: SimResult) -> SimResult:
-    """The document with the throughput and conservation its counts fix; the
-    allocation must be staffable, utilizations shares of the plan's tasks."""
-    _require_staffable(r.plan, r.allocation)
-    if list(r.utilization) != list(r.plan.task_ids) or not all(0 <= u <= 1 for u in r.utilization.values()):
-        raise ValueError("utilization must give each plan task, in plan order, a share in [0, 1]")
-    if not r.completed <= r.completed_total <= r.released:
-        raise ValueError("counts must satisfy completed <= completed_total <= released")
-    last = r.wip_timeseries[-1]
-    if last.released > r.released or last.completed > r.completed_total:
-        raise ValueError("the last sample's counts must not exceed released and completed_total")
-    window = r.config.horizon_s - r.config.warmup_s
-    return dataclasses.replace(
-        r, throughput=Fraction(r.completed) * SECONDS_PER_HOUR / window,
-        conservation=(r.released, r.completed_total, r.released - r.completed_total),
-    )
-
-
-class _Kind(typing.NamedTuple):
-    kind: str  # the JSON tag
-    table: typing.Callable
-    rebuild: typing.Callable  # the report a decoded document must equal
-    derived: typing.Callable = lambda r: {}  # keys written after the fields, checked where stated
-    samples: typing.Callable = None  # decode(raw, plan, config) of a simulation's wip_timeseries
-
-
-_REPORTS = {
-    BalanceResult: _Kind("balance", _balance_table, _rebuild_balance, lambda r: {
-        "total_stations": r.total_stations,
-        "throughput_per_period": str(throughput(r.line_cycle_time, r.plan.period)),
-    }),
-    ProductivityReport: _Kind("productivity", lambda r: _productivity_line("line", r), _rebuild_productivity),
-    Comparison: _Kind("comparison", _comparison_table, _rebuild_comparison),
-    RobustReport: _Kind(
-        "robust", _robust_table, lambda r: robust_line_report(r.plan, r.allocation, r.intervals)
-    ),
-    SimResult: _Kind("simulation", _sim_table, _rebuild_simulation, samples=_decode_samples),
-}
-
-
 def emit_report(result, format: str = "table") -> str:
     """Render a result for humans (table) or machines (json, round-trippable)."""
     if format not in ("table", "json"):
@@ -609,7 +405,7 @@ def emit_plot_data(sweep) -> str:
     sweep = tuple(sweep)
     if not sweep:
         raise DomainError("sweep is empty")
-    text: dict[tuple[int, int], str] = {}  # (numerator, denominator) -> cell: each value is formatted once
+    text: dict = {}  # (numerator, denominator) of a Fraction, or a float -> cell: each value is formatted once
     rows = []
     for alpha, report in sweep:
         alpha = format_number(alpha)
@@ -619,7 +415,10 @@ def emit_plot_data(sweep) -> str:
         for label, *cts in series:
             row = [label, alpha]
             for x in cts:
-                key = x.numerator, x.denominator
+                try:
+                    key = x.numerator, x.denominator
+                except AttributeError:  # a float bound, in a hand-built report
+                    key = x
                 row.append(text.get(key) or text.setdefault(key, format_number(x)))
             rows.append(row)
     return _csv_text(("task_id", "alpha", "regular_ct", "best_ct", "worst_ct"), rows)

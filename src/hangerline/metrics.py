@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
+from .io import _REPORTS, _Kind, format_number, format_percent, format_seconds, format_upph
 from .model import (
     Allocation,
     ProcessPlan,
@@ -145,3 +146,50 @@ def compare(
     _require_staffable(plan, new_allocation)
     before, after = productivity_report(plan, baseline_allocation), productivity_report(plan, new_allocation)
     return _comparison(before, after)
+
+
+# --- productivity and comparison reports: table and rebuild, registered with io
+
+def _productivity_line(label: str, r: ProductivityReport) -> str:
+    return (
+        f"{label}: {format_number(r.output_per_hour)} pc/hr with {r.workers} workers; "
+        f"line CT {format_seconds(r.line_cycle_time)} sec/pc; "
+        f"UPPH {format_upph(r.upph)} ({format_number(r.upph)} exact)\n"
+    )
+
+
+def _comparison_table(c: Comparison) -> str:
+    source = (
+        "exact again, since the two-decimal printed figures start from zero"
+        if _prints_as_zero(c.before.upph)
+        else "from the two-decimal printed figures"
+    )
+    return (
+        _productivity_line("before", c.before)
+        + _productivity_line("after", c.after)
+        + f"UPPH improvement: {format_percent(c.improvement)} at full precision; "
+        f"{format_percent(c.improvement_displayed)} {source} "
+        f"({format_upph(c.before.upph)} -> {format_upph(c.after.upph)})\n"
+        f"output ratio: {format_number(c.output_ratio)}x\n"
+    )
+
+
+def _rebuild_productivity(r: ProductivityReport) -> ProductivityReport:
+    """The report its stored figures give (no period is stored, so the line
+    cycle time, output and workers are taken as given, the cycle time if
+    positive); each utilization must be a share in (0, 1], the bottleneck's
+    exactly 1."""
+    if r.line_cycle_time <= 0:
+        raise ValueError(f"line_cycle_time must be > 0, got {r.line_cycle_time}")
+    shares = r.utilization.values()
+    if not shares or max(shares) != 1 or min(shares) <= 0:
+        raise ValueError("utilization must give each task a share in (0, 1], the largest exactly 1")
+    return _productivity(r.line_cycle_time, r.output_per_hour, r.workers, r.utilization)
+
+
+def _rebuild_comparison(c: Comparison) -> Comparison:
+    return _comparison(_rebuild_productivity(c.before), _rebuild_productivity(c.after))
+
+
+_REPORTS[ProductivityReport] = _Kind("productivity", lambda r: _productivity_line("line", r), _rebuild_productivity)
+_REPORTS[Comparison] = _Kind("comparison", _comparison_table, _rebuild_comparison)

@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .errors import DomainError
-from .metrics import _improvements, upph
+from .io import _REPORTS, _Kind, _render_columns, format_number, format_percent, format_seconds, format_upph
+from .metrics import _improvements, _prints_as_zero, upph
 from .model import Allocation, ProcessPlan, _effective_times, _require_coverage, as_fraction
 
 
@@ -250,3 +251,39 @@ def alpha_sweep(
     rows: list = []
     source = _rows(plan, times, deviations, rows)
     return tuple((a, report(a, *_widen(rows or source, _alpha(a)))) for a in alphas)
+
+
+# ------------------------ robust report: table and rebuild, registered with io
+
+def _robust_table(r: RobustReport) -> str:
+    rows = []
+    for t in r.plan.tasks:
+        iv = r.intervals[t.id]
+        rows.append((str(t.id), t.description, *map(format_seconds, (iv.nominal, iv.lo, iv.hi))))
+    table = _render_columns(("task", "description", "effective_ct", "ct_minus_dev", "ct_plus_dev"), rows)
+    alpha = "per-interval" if r.alpha is None else format_number(r.alpha)
+    source = (
+        "exact again, since the two-decimal printed baseline is 0.00"
+        if _prints_as_zero(_baseline_upph(r.plan))
+        else "from two-decimal printed figures"
+    )
+    lines = [
+        table,
+        f"alpha: {alpha}",
+        f"line cycle time: regular {format_seconds(r.line_ct_regular)}, "
+        f"best {format_seconds(r.line_ct_best)}, worst {format_seconds(r.line_ct_worst)} sec/pc",
+        f"throughput bounds: {r.throughput_worst}..{r.throughput_best} pc per period "
+        f"(regular {format_number(r.throughput_regular)})",
+        f"UPPH: regular {format_upph(r.upph_regular)}; "
+        f"min {format_upph(r.upph_min)} ({format_number(r.upph_min)} exact); "
+        f"max {format_upph(r.upph_max)} ({format_number(r.upph_max)} exact)",
+        f"improvement over one-station baseline: "
+        f"{format_percent(r.eff_min)}..{format_percent(r.eff_max)} exact; "
+        f"{format_percent(r.eff_min_displayed)}..{format_percent(r.eff_max_displayed)} {source}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+_REPORTS[RobustReport] = _Kind(
+    "robust", _robust_table, lambda r: robust_line_report(r.plan, r.allocation, r.intervals)
+)

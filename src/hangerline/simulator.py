@@ -52,10 +52,11 @@ import math
 import random
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError, InvariantError
+from .io import _REPORTS, _Kind, _frac_in, _render_columns, format_number, format_percent
 from .model import (
     SECONDS_PER_HOUR,
     Allocation,
@@ -378,3 +379,76 @@ def verify_against_static(
 
     checks = (tp_check, util_check)
     return VerifyResult(passed=all(c.passed for c in checks), checks=checks)
+
+
+# -------------------- simulation report: table and rebuild, registered with io
+
+def _sim_table(r: SimResult) -> str:
+    peak = {
+        tid: max(s.queue_lengths[tid] for s in r.wip_timeseries)
+        for tid in (r.wip_timeseries[0].queue_lengths if r.wip_timeseries else {})
+    }
+    rows = [
+        (str(t.id), str(r.allocation.count(t.id)), format_percent(r.utilization[t.id]), str(peak.get(t.id, "-")))
+        for t in r.plan.tasks
+    ]
+    table = _render_columns(("task", "stations", "utilization", "peak_queue"), rows)
+    released, completed_total, in_flight = r.conservation
+    lines = [
+        f"horizon {format_number(r.config.horizon_s)} s, warmup {format_number(r.config.warmup_s)} s, "
+        f"service {r.config.service_model}, seed {r.config.seed}",
+        f"throughput: {format_number(r.throughput)} pc/hr "
+        f"({r.completed} pieces after warmup)",
+        f"pieces: released {released} = completed {completed_total} + in flight {in_flight}",
+        table,
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _decode_samples(raw, plan, config) -> tuple[WipSample, ...]:
+    """A simulation's WIP samples, read against its plan and config: one per
+    sample interval from 0 to the horizon, each at its grid time, with int
+    queue lengths keyed by the plan's ids after the first, in plan order, and
+    released = completed + in_flight."""
+    ids, step = plan.task_ids[1:], config.sample_interval_s
+    keys = [str(i) for i in ids]
+    if len(raw) != config.horizon_s // step + 1:
+        raise ValueError(f"wip_timeseries has {len(raw)} samples, not one per sample interval")
+    samples, before = [], (0, 0)
+    for k, x in enumerate(raw):
+        lengths, counts = x["queue_lengths"], (x["released"], x["completed"], x["in_flight"])
+        if type(lengths) is not dict or list(lengths) != keys:
+            raise ValueError(f"wip_timeseries[{k}]: queue_lengths must be an object keyed by later task ids")
+        if {*map(type, lengths.values()), *map(type, counts)} != {int}:
+            raise TypeError(f"wip_timeseries[{k}]: queue_lengths and counts must be integers")
+        time = Fraction(k * step.numerator, step.denominator)
+        if x["time"] != str(time) and _frac_in(x["time"]) != time:  # the text as written, or its number
+            raise ValueError(f"wip_timeseries[{k}]: time {x['time']!r} is off the sample grid, expected {time}")
+        if counts[0] != counts[1] + counts[2]:
+            raise ValueError(f"wip_timeseries[{k}]: released {counts[0]} is not completed + in_flight")
+        if counts[0] < before[0] or counts[1] < before[1]:
+            raise ValueError(f"wip_timeseries[{k}]: released and completed must be at least 0 and never fall")
+        before = counts
+        samples.append(WipSample(time, dict(zip(ids, lengths.values())), *counts))
+    return tuple(samples)
+
+
+def _rebuild_simulation(r: SimResult) -> SimResult:
+    """The document with the throughput and conservation its counts fix; the
+    allocation must be staffable, utilizations shares of the plan's tasks."""
+    _require_staffable(r.plan, r.allocation)
+    if list(r.utilization) != list(r.plan.task_ids) or not all(0 <= u <= 1 for u in r.utilization.values()):
+        raise ValueError("utilization must give each plan task, in plan order, a share in [0, 1]")
+    if not r.completed <= r.completed_total <= r.released:
+        raise ValueError("counts must satisfy completed <= completed_total <= released")
+    last = r.wip_timeseries[-1]
+    if last.released > r.released or last.completed > r.completed_total:
+        raise ValueError("the last sample's counts must not exceed released and completed_total")
+    window = r.config.horizon_s - r.config.warmup_s
+    return replace(
+        r, throughput=Fraction(r.completed) * SECONDS_PER_HOUR / window,
+        conservation=(r.released, r.completed_total, r.released - r.completed_total),
+    )
+
+
+_REPORTS[SimResult] = _Kind("simulation", _sim_table, _rebuild_simulation, samples=_decode_samples)

@@ -366,17 +366,24 @@ class TestReportRoundTrips:
         ("greedy", lambda d: d.update(iterations=[[25, "40"]]),
          r"iterations: the splits of tasks \[21, 35, .*\] do not match their stations beyond the first$"),
         ("greedy", lambda d: d["iterations"].pop(), r"iterations: the last line cycle time 50 is not the line's 40$"),
-        ("optimal", lambda d: d.update(iterations=[[25, "50"]]),
-         r"iterations\[0\]: line cycle time 50 of an optimal run is not the line's 40$"),
+        ("optimal", lambda d: d.update(iterations=[[25, "50"]]), r"fields \['iterations'\] disagree with its inputs$"),
         ("optimal", lambda d: d.update(iterations=[[21, "40"]] * 2),
-         r"iterations: the splits of tasks \[21\] do not match their stations beyond the first$"),
+         r"fields \['iterations'\] disagree with its inputs$"),
     ], ids=["reversed", "foreign_task", "too_few_splits", "last_ct", "optimal_ct", "optimal_splits"])
     def test_balance_document_breaking_an_iteration_identity_rejected(self, shirt_plan, method, tamper, message):
-        # iterations are checked against their identities, not rerun
+        # greedy iterations are checked against their identities, not rerun; an optimal document is rerun
         result = hl.greedy_balance(shirt_plan) if method == "greedy" else hl.optimal_balance(shirt_plan)
         data = json.loads(hl.emit_report(result, "json"))
         tamper(data)
         with pytest.raises(ParseError, match=r"^malformed balance report: " + message):
+            hl.parse_report(json.dumps(data))
+
+    def test_optimal_document_with_an_invented_split_rejected(self, shirt_plan):
+        # at 32 seats the optimum reaches CT 40 with no seat left, so no split follows it
+        data = json.loads(hl.emit_report(hl.optimal_balance(shirt_plan), "json"))
+        assert data["iterations"] == []
+        data["iterations"] = [[25, "40"]]
+        with pytest.raises(ParseError, match=r"^malformed balance report: fields \['iterations'\] disagree"):
             hl.parse_report(json.dumps(data))
 
     def test_simulation_document_with_release_key_parses(self, shirt_plan, balanced):
@@ -623,6 +630,17 @@ class TestPlotData:
         assert len(lines) == 1 + 2 * (19 + 1)
         line_rows = [l for l in lines if l.startswith("LINE")]
         assert line_rows[-1] == "LINE,1,40,38,42"
+
+    def test_float_bounds_format_as_format_number(self, devs_plan):
+        alloc = hl.greedy_balance(devs_plan).allocation
+        ((alpha, report),) = hl.alpha_sweep(devs_plan, alloc, None, [Fraction(1)])
+        ivs = {tid: dataclasses.replace(iv, lo=float(iv.lo), hi=iv.hi + 0.1) for tid, iv in report.intervals.items()}
+        hand_built = dataclasses.replace(report, intervals=ivs, line_ct_best=38.0, line_ct_worst=1 / 3)
+        rows = [line.split(",")[2:] for line in hl.emit_plot_data([(alpha, hand_built)]).splitlines()[1:]]
+        cts = [(ivs[t.id].nominal, ivs[t.id].lo, ivs[t.id].hi) for t in devs_plan.tasks]
+        cts.append((report.line_ct_regular, 38.0, 1 / 3))
+        assert rows == [[hl.format_number(x) for x in row] for row in cts]
+        assert rows[-1] == ["40", "38", "0.3333333333333333"]  # a float reads as its shortest repr
 
     def test_shirt_sweep_is_pinned(self, shirt_plan, balanced, deviations):
         # sha256 of the shirt sweep at --alphas 0.01:1:0.01 with the bundled
