@@ -164,30 +164,18 @@ def _balance_table(result: BalanceResult) -> str:
 
 
 def _rebuild_balance(r: BalanceResult) -> BalanceResult:
-    """An optimal document is a rerun of optimal_balance on its plan. A greedy
-    one is the document with its allocation's line cycle time; its iterations
-    are checked in one pass, not rerun: plan task ids, CTs that never rise and
-    end at the line's, and one split per station beyond the first."""
+    """A balance document is a rerun of the solver it names: optimal_balance on
+    its plan, or greedy_balance at its allocation's seat total, since a greedy
+    run that a target CT stops after k splits is the run with k seats beyond
+    one per task. A greedy document must first fit its plan and budget and list
+    one split per station beyond the first, which bounds the rerun by its size."""
     if r.method == "optimal":
         return optimal_balance(r.plan)
     _require_staffable(r.plan, r.allocation)
-    ct = line_cycle_time(r.plan, r.allocation)
-    splits = dict.fromkeys(r.plan.task_ids, 0)
-    before = r.iterations[0][1] if r.iterations else ct
-    for k, (task_id, after) in enumerate(r.iterations):
-        if task_id not in splits:
-            raise ValueError(f"iterations[{k}]: task {task_id} is not in the plan")
-        if after > before:
-            raise ValueError(f"iterations[{k}]: line cycle time {after} rises from {before}")
-        splits[task_id] += 1
-        before = after
-    if before != ct:
-        raise ValueError(f"iterations: the last line cycle time {before} is not the line's {ct}")
-    seats = r.allocation.stations
-    wrong = [i for i, n in splits.items() if n != seats[i] - 1]
-    if wrong:
-        raise ValueError(f"iterations: the splits of tasks {wrong} do not match their stations beyond the first")
-    return replace(r, line_cycle_time=ct)
+    spare = r.allocation.total - len(r.plan.tasks)
+    if len(r.iterations) != spare:
+        raise ValueError(f"iterations: {len(r.iterations)} splits listed for {spare} stations beyond one per task")
+    return replace(greedy_balance(replace(r.plan, seat_budget=r.allocation.total)), plan=r.plan)
 
 
 _REPORTS[BalanceResult] = _Kind("balance", _balance_table, _rebuild_balance, lambda r: {

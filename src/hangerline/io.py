@@ -333,9 +333,9 @@ def _codec(hint):
 
 def report_from_dict(data: dict):
     """The report object of a JSON document read into plain data. Each kind is
-    rebuilt from its inputs or identities (a greedy balance's iterations are
-    checked, not rerun) and must equal the decoded document; a derived key it
-    states must equal the rebuilt value as a number."""
+    rebuilt from its inputs or identities (a balance by rerunning its solver)
+    and must equal the decoded document; a derived key it states must equal
+    the rebuilt value as a number."""
     from . import balancer, metrics, robust, simulator  # each registers its kinds
 
     try:

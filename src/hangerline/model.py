@@ -114,8 +114,9 @@ class ProcessPlan:
                 f"seat budget {self.seat_budget} cannot cover {len(self.tasks)} tasks "
                 "(every task needs at least one station)"
             )
-        # (id, numerator, denominator) of each cycle time, for line_cycle_time and
-        # the solvers; not a field, so eq, hash, repr and JSON do not see it
+        # the id set, for _require_coverage, and (id, numerator, denominator) of each cycle time,
+        # for line_cycle_time and the solvers; not fields, so eq, hash, repr and JSON miss them
+        object.__setattr__(self, "_ids", frozenset(ids))
         object.__setattr__(self, "_ratios", tuple((t.id, *t.cycle_time.as_integer_ratio()) for t in self.tasks))
 
     @property
@@ -161,13 +162,12 @@ def _require_coverage(plan: ProcessPlan, entries: Allocation | dict) -> None:
         keys, what, verb = entries.stations, "allocation", "has"
     else:
         keys, what, verb = entries, "intervals", "have"
+    if keys.keys() == plan._ids:  # one set compare; only a failure builds its lists
+        return
     missing = [t.id for t in plan.tasks if t.id not in keys]
     if missing:
         raise DomainError(f"{what} missing tasks: {missing}")
-    # every plan id is present and the ids are unique, so any extra entry is foreign
-    if len(keys) > len(plan.tasks):
-        ids = set(plan.task_ids)
-        raise DomainError(f"{what} {verb} tasks the plan does not: {[i for i in keys if i not in ids]}")
+    raise DomainError(f"{what} {verb} tasks the plan does not: {[i for i in keys if i not in plan._ids]}")
 
 
 def _require_staffable(plan: ProcessPlan, allocation: Allocation) -> None:

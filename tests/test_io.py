@@ -1,5 +1,4 @@
 """CSV and JSON interchange: task tables, reports, plot data."""
-import collections
 import dataclasses
 import enum
 import hashlib
@@ -14,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import hangerline as hl
 from hangerline import DomainError, ParseError, SimConfig
 
+from .oracles import exhaustive_balance
 from .test_robust import _fields, _ref_ct_interval, _ref_report
 
 
@@ -361,17 +361,19 @@ class TestReportRoundTrips:
             hl.report_from_dict(data)
 
     @pytest.mark.parametrize("method, tamper, message", [
-        ("greedy", lambda d: d["iterations"].reverse(), r"iterations\[1\]: line cycle time 50 rises from 40$"),
-        ("greedy", lambda d: d.update(iterations=[[1, "1"]]), r"iterations\[0\]: task 1 is not in the plan$"),
+        ("greedy", lambda d: d["iterations"].reverse(), r"fields \['iterations'\] disagree with its inputs$"),
+        ("greedy", lambda d: d.update(iterations=[[1, "1"]]),
+         r"iterations: 1 splits listed for 13 stations beyond one per task$"),
         ("greedy", lambda d: d.update(iterations=[[25, "40"]]),
-         r"iterations: the splits of tasks \[21, 35, .*\] do not match their stations beyond the first$"),
-        ("greedy", lambda d: d["iterations"].pop(), r"iterations: the last line cycle time 50 is not the line's 40$"),
+         r"iterations: 1 splits listed for 13 stations beyond one per task$"),
+        ("greedy", lambda d: d["iterations"].pop(), r"iterations: 12 splits listed for 13 stations beyond one per task$"),
         ("optimal", lambda d: d.update(iterations=[[25, "50"]]), r"fields \['iterations'\] disagree with its inputs$"),
         ("optimal", lambda d: d.update(iterations=[[21, "40"]] * 2),
          r"fields \['iterations'\] disagree with its inputs$"),
     ], ids=["reversed", "foreign_task", "too_few_splits", "last_ct", "optimal_ct", "optimal_splits"])
     def test_balance_document_breaking_an_iteration_identity_rejected(self, shirt_plan, method, tamper, message):
-        # greedy iterations are checked against their identities, not rerun; an optimal document is rerun
+        # a document is a rerun of its solver: a greedy one listing other than one split per
+        # station beyond the first fails before the rerun, on the length of its iterations
         result = hl.greedy_balance(shirt_plan) if method == "greedy" else hl.optimal_balance(shirt_plan)
         data = json.loads(hl.emit_report(result, "json"))
         tamper(data)
@@ -385,6 +387,32 @@ class TestReportRoundTrips:
         data["iterations"] = [[25, "40"]]
         with pytest.raises(ParseError, match=r"^malformed balance report: fields \['iterations'\] disagree"):
             hl.parse_report(json.dumps(data))
+
+    @pytest.mark.parametrize("times, allocation, iterations", [
+        ((40, 30, 20), {"1": 1, "2": 1, "3": 2}, [[3, "40"]]),  # greedy splits task 1, the bottleneck
+        ((30, 30, 20), {"1": 1, "2": 2, "3": 1}, [[2, "30"]]),  # greedy breaks the tie toward task 1
+    ], ids=["not_the_bottleneck", "tie_to_the_higher_id"])
+    def test_greedy_document_greedy_would_not_write_rejected(self, times, allocation, iterations):
+        # each split a single station, its CT the line's: consistent, but not greedy's run
+        tasks = [hl.Task(id=i + 1, description=f"op {i + 1}", cycle_time=t) for i, t in enumerate(times)]
+        data = json.loads(hl.emit_report(hl.greedy_balance(hl.ProcessPlan(tasks=tasks, seat_budget=4)), "json"))
+        data.update(allocation=allocation, iterations=iterations, line_cycle_time=iterations[-1][1])
+        data["throughput_per_period"] = str(3600 / Fraction(data["line_cycle_time"]))
+        with pytest.raises(ParseError, match=r"^malformed balance report: fields \[.*\] disagree with its inputs$"):
+            hl.parse_report(json.dumps(data))
+
+    def test_greedy_document_is_checked_for_length_before_its_rerun(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr("hangerline.balancer.greedy_balance", refuse)
+        tasks = [hl.Task(id=1, description="cut", cycle_time=30), hl.Task(id=2, description="sew", cycle_time=20)]
+        plan = hl.ProcessPlan(tasks=tasks, seat_budget=10**9)
+        claimed = hl.BalanceResult("greedy", plan, hl.Allocation({1: 200001, 2: 1}), Fraction(20))
+        data = json.loads(hl.emit_report(claimed, "json"))
+        assert data["allocation"] == {"1": 200001, "2": 1} and data["iterations"] == []
+        with pytest.raises(ParseError, match=r"^malformed balance report: iterations: 0 splits listed for 200000 "):
+            hl.report_from_dict(data)
 
     def test_simulation_document_with_release_key_parses(self, shirt_plan, balanced):
         # documents written before SimConfig lost its single-valued release knob
@@ -660,9 +688,9 @@ class TestPlotData:
 # give a report that the independent Fraction reference reproduces from the
 # decoded inputs. A figure the inputs determine (the line cycle time, a robust
 # line figure, an interval's lo or hi) may only decode back to the original.
-# A balance's iterations are not rerun; a decoded one must satisfy their
-# identities: plan task ids, line CTs that never rise and end at the line's,
-# and one split per station beyond the first (at most that for optimal).
+# A balance is a rerun of its solver: a decoded one must equal optimal_balance
+# on its plan, or greedy_balance at its allocation's seat total; on up to 5
+# tasks its CT must also be the brute-force optimum at that total.
 #
 # A simulation document is not replayed, so only its identities are checked:
 # a decoded one must satisfy them all. They fix the sample grid (the number of
@@ -845,14 +873,13 @@ def test_one_field_mutation_is_rejected_or_consistent(case):
     if isinstance(decoded, hl.BalanceResult):
         assert alloc.total <= plan.seat_budget
         assert decoded.line_cycle_time == max(t.cycle_time / alloc.stations[t.id] for t in plan.tasks)
-        cts = [decoded.line_cycle_time, *(ct for _, ct in decoded.iterations)]
-        assert cts[1:] == sorted(cts[1:], reverse=True) and cts[-1] == cts[0]
-        splits = collections.Counter(task_id for task_id, _ in decoded.iterations)
-        assert set(splits) <= set(plan.task_ids)
+        at_total = dataclasses.replace(plan, seat_budget=alloc.total)
         if decoded.method == "greedy":
-            assert all(splits[i] == n - 1 for i, n in alloc.stations.items())
+            assert decoded == dataclasses.replace(hl.greedy_balance(at_total), plan=plan)
         else:
-            assert set(cts) == {cts[0]} and all(splits[i] < n for i, n in alloc.stations.items())
+            assert decoded == hl.optimal_balance(plan)
+        if len(plan.tasks) <= 5:
+            assert decoded.line_cycle_time == exhaustive_balance(at_total).line_cycle_time
     else:
         rebuilt = {
             tid: _ref_ct_interval(iv.nominal, iv.d_plus, iv.d_minus, iv.alpha)

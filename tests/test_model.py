@@ -155,6 +155,17 @@ class TestCycleTimeAlgebra:
         with pytest.raises(DomainError, match=r"\[99\]"):
             hl.line_cycle_time(plan, hl.Allocation({1: 1, 2: 2, 99: 5}))
 
+    @pytest.mark.parametrize("stations, message", [
+        ({1: 1, 2: 1}, "allocation missing tasks: [3]"),
+        ({1: 1, 2: 1, 3: 1, 99: 1}, "allocation has tasks the plan does not: [99]"),
+        ({1: 1, 2: 1, 99: 1}, "allocation missing tasks: [3]"),  # missing is reported first
+    ], ids=["missing", "foreign", "both"])
+    def test_coverage_messages(self, stations, message):
+        plan = make_plan([30, 60, 45], 4)
+        with pytest.raises(DomainError) as caught:
+            hl.line_cycle_time(plan, hl.Allocation(stations))
+        assert str(caught.value) == message
+
     def test_bottleneck_tasks(self, shirt_plan, balanced):
         assert hl.bottleneck_tasks(shirt_plan, balanced.allocation) == (20, 22, 37, 38, 39, 43, 44)
         plan = make_plan([30, 120, 45], 5)
