@@ -33,44 +33,48 @@ _DEV_COLUMNS = ("task_id", "dev_plus_sec", "dev_minus_sec")
 
 # ---------------------------------------------------------------- formatting
 
-def _fixed(x: Fraction, places: int, cut: bool = False) -> str:
-    """x with `places` decimals, in exact integer arithmetic: rounded half away
-    from zero, or cut toward zero. The sign stays even when every digit is 0
-    ("-0.00"), as a Decimal quantize would print it."""
-    n, d = abs(x.numerator) * 10**places, x.denominator
-    digits = str(n // d if cut else (2 * n + d) // (2 * d)).rjust(places + 1, "0")
-    sign = "-" if x.numerator < 0 else ""
+def _fixed(n: int, d: int, places: int, cut: bool = False) -> str:
+    """n/d (d > 0) with `places` decimals, in exact integer arithmetic: rounded
+    half away from zero, or cut toward zero. The sign stays even when every
+    digit is 0 ("-0.00"), as a Decimal quantize would print it."""
+    m = abs(n) * 10**places
+    digits = str(m // d if cut else (2 * m + d) // (2 * d)).rjust(places + 1, "0")
+    sign = "-" if n < 0 else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else sign + digits
+
+
+def _number(n: int, d: int) -> str:
+    """format_number of n/d in lowest terms (d > 0)."""
+    # 10^p is a multiple of d = 2^a * 5^b from p = max(a, b) on, which is below
+    # the bit length of d; for any other d no power of 10 is
+    if pow(10, d.bit_length(), d):
+        return _fixed(n, d, 4)
+    places, scale = 0, 1
+    while scale % d:
+        places, scale = places + 1, scale * 10
+    return _fixed(n, d, places)
 
 
 def format_seconds(x) -> str:
     """Cycle time for display: one decimal, half up, bare integers kept bare."""
-    s = _fixed(as_fraction(x), 1)
+    s = _fixed(*as_fraction(x).as_integer_ratio(), 1)
     return s[:-2] if s.endswith(".0") else s
 
 
 def format_upph(x) -> str:
     """UPPH for display: two decimals, truncated (printed-figure convention)."""
-    return _fixed(as_fraction(x), 2, cut=True)
+    return _fixed(*as_fraction(x).as_integer_ratio(), 2, cut=True)
 
 
 def format_percent(x) -> str:
     """A fraction as a percentage with two decimals, half up."""
-    return f"{_fixed(as_fraction(x) * 100, 2)}%"
+    n, d = as_fraction(x).as_integer_ratio()
+    return f"{_fixed(100 * n, d, 2)}%"
 
 
 def format_number(x) -> str:
     """Exact decimal when the value terminates, else four decimals."""
-    x = as_fraction(x)
-    d = x.denominator
-    # 10^p is a multiple of d = 2^a * 5^b from p = max(a, b) on, which is below
-    # the bit length of d; for any other d no power of 10 is
-    if pow(10, d.bit_length(), d):
-        return _fixed(x, 4)
-    places, scale = 0, 1
-    while scale % d:
-        places, scale = places + 1, scale * 10
-    return _fixed(x, places)
+    return _number(*as_fraction(x).as_integer_ratio())
 
 
 # ------------------------------------------------------------------- parsing
@@ -233,8 +237,11 @@ def _frac_out(x, ind):
 
 def _frac_in(raw):
     if isinstance(raw, str):
-        # "num/den" and integer strings as written; a decimal string takes the
-        # exponent bound of as_fraction, as Fraction would expand any exponent
+        # "num/den" and integer strings as written, by int() when plain ASCII; a decimal
+        # string takes the exponent bound of as_fraction, as Fraction would expand any exponent
+        num, slash, den = raw.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash) and raw.isascii():
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return as_fraction(raw) if "." in raw or "e" in raw or "E" in raw else Fraction(raw)
     if type(raw) is int or (type(raw) is float and math.isfinite(raw)):
         return raw
@@ -318,7 +325,7 @@ def _codec(hint):
         codecs = [_codec(a) for a in args]
         return (
             lambda xs, ind: _layout("[]", [w(x, ind + "  ") for (w, _), x in zip(codecs, xs)], ind),
-            lambda raw: tuple(dec(x) for (_, dec), x in zip(codecs, raw, strict=True)),
+            lambda raw: tuple([dec(x) for (_, dec), x in zip(codecs, raw, strict=True)]),
         )
 
     def check(raw):
@@ -405,20 +412,20 @@ def emit_plot_data(sweep) -> str:
     sweep = tuple(sweep)
     if not sweep:
         raise DomainError("sweep is empty")
-    text: dict = {}  # (numerator, denominator) of a Fraction, or a float -> cell: each value is formatted once
-    rows = []
-    for alpha, report in sweep:
+    text: dict = {}  # (numerator, denominator) of a Fraction -> cell: each value is formatted once
+
+    def cell(x) -> str:
+        if type(x) is not Fraction:  # a float bound, in a hand-built report
+            return format_number(x)
+        key = x.as_integer_ratio()
+        return text.get(key) or text.setdefault(key, _number(*key))
+
+    # every cell is a task id, LINE or a formatted number, so none needs CSV quoting
+    rows = ["task_id,alpha,regular_ct,best_ct,worst_ct"]
+    for alpha, r in sweep:
         alpha = format_number(alpha)
-        ivs = report.intervals
-        series = [(t.id, ivs[t.id].nominal, ivs[t.id].lo, ivs[t.id].hi) for t in report.plan.tasks]
-        series.append(("LINE", report.line_ct_regular, report.line_ct_best, report.line_ct_worst))
-        for label, *cts in series:
-            row = [label, alpha]
-            for x in cts:
-                try:
-                    key = x.numerator, x.denominator
-                except AttributeError:  # a float bound, in a hand-built report
-                    key = x
-                row.append(text.get(key) or text.setdefault(key, format_number(x)))
-            rows.append(row)
-    return _csv_text(("task_id", "alpha", "regular_ct", "best_ct", "worst_ct"), rows)
+        for t in r.plan.tasks:
+            iv = r.intervals[t.id]
+            rows.append(f"{t.id},{alpha},{cell(iv.nominal)},{cell(iv.lo)},{cell(iv.hi)}")
+        rows.append(f"LINE,{alpha},{cell(r.line_ct_regular)},{cell(r.line_ct_best)},{cell(r.line_ct_worst)}")
+    return "\n".join(rows) + "\n"

@@ -7,7 +7,7 @@ views side by side so neither number looks like a typo.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError
@@ -15,7 +15,7 @@ from .io import _REPORTS, _Kind, format_number, format_percent, format_seconds, 
 from .model import (
     Allocation,
     ProcessPlan,
-    _effective_times,
+    _line_ct_pair,
     _require_staffable,
     as_fraction,
     throughput,
@@ -62,13 +62,19 @@ def _prints_as_zero(upph_base) -> bool:
     return truncate_decimals(upph_base, 2) == 0
 
 
-def _improvements(upph_new, upph_base) -> tuple[Fraction, Fraction]:
-    """The exact UPPH gain, and the gain recomputed from both figures truncated
-    to two decimals (the exact one again when the baseline prints as 0.00)."""
-    exact = eff_improvement(upph_new, upph_base)
-    if _prints_as_zero(upph_base):
-        return exact, exact
-    return exact, eff_improvement(truncate_decimals(upph_new, 2), truncate_decimals(upph_base, 2))
+def _improvement_rule(upph_base: Fraction):
+    """The UPPH gains over a positive baseline, as a function of the new UPPH's
+    integer pair (new_n, new_d): the exact gain, and the gain recomputed from
+    both figures truncated to two decimals (the exact one again when the
+    baseline prints as 0.00). The baseline's cut is taken once, here."""
+    base_n, base_d = upph_base.as_integer_ratio()
+    cut = 100 * base_n // base_d  # the baseline cut to two decimals, times 100
+
+    def gains(new_n: int, new_d: int) -> tuple[Fraction, Fraction]:
+        exact = Fraction(new_n * base_d - base_n * new_d, base_n * new_d)
+        return exact, Fraction(100 * new_n // new_d - cut, cut) if cut else exact
+
+    return gains
 
 
 @dataclass(frozen=True)
@@ -106,33 +112,27 @@ class Comparison:
     output_ratio: Fraction
 
 
-def _productivity(ct: Fraction, output: Fraction, workers: int, utilization: dict) -> ProductivityReport:
-    """The report with the UPPH and idle fractions its figures give."""
-    return ProductivityReport(
-        line_cycle_time=ct,
-        output_per_hour=output,
-        workers=workers,
-        upph=upph(output, workers),
-        utilization=utilization,
-        idle_fraction={task_id: 1 - u for task_id, u in utilization.items()},
-    )
-
-
 def productivity_report(plan: ProcessPlan, allocation: Allocation) -> ProductivityReport:
     """Compute throughput, UPPH and per-task utilization for an allocation.
 
-    Output is per plan.period (an hour by default).
+    Output is per plan.period (an hour by default). With t_i/s_i as the pair
+    n/(d*s_i) and the line CT c_n/c_d found by line_cycle_time's cross
+    multiplication (_line_ct_pair), utilization is one Fraction(n*c_d, d*s_i*c_n).
     """
-    times = _effective_times(plan, allocation)
-    ct = max(times.values())
-    utilization = {task_id: time / ct for task_id, time in times.items()}
-    return _productivity(ct, throughput(ct, plan.period), allocation.total, utilization)
+    ct_n, ct_d = _line_ct_pair(plan, allocation)
+    pairs = [(task_id, n, d * allocation.stations[task_id]) for task_id, n, d in plan._ratios]
+    ct, workers = Fraction(ct_n, ct_d), allocation.total
+    output = throughput(ct, plan.period)
+    utilization = {task_id: Fraction(n * ct_d, d * ct_n) for task_id, n, d in pairs}
+    idle = {task_id: Fraction(d * ct_n - n * ct_d, d * ct_n) for task_id, n, d in pairs}
+    return ProductivityReport(ct, output, workers, upph(output, workers), utilization, idle)
 
 
 def _comparison(before: ProductivityReport, after: ProductivityReport) -> Comparison:
     """The pair with the improvements and output ratio its two sides give."""
     ratio = after.output_per_hour / before.output_per_hour
-    return Comparison(before, after, *_improvements(after.upph, before.upph), ratio)
+    gains = _improvement_rule(before.upph)(*after.upph.as_integer_ratio())
+    return Comparison(before, after, *gains, ratio)
 
 
 def compare(
@@ -184,7 +184,9 @@ def _rebuild_productivity(r: ProductivityReport) -> ProductivityReport:
     shares = r.utilization.values()
     if not shares or max(shares) != 1 or min(shares) <= 0:
         raise ValueError("utilization must give each task a share in (0, 1], the largest exactly 1")
-    return _productivity(r.line_cycle_time, r.output_per_hour, r.workers, r.utilization)
+    return replace(
+        r, upph=upph(r.output_per_hour, r.workers), idle_fraction={task_id: 1 - u for task_id, u in r.utilization.items()}
+    )
 
 
 def _rebuild_comparison(c: Comparison) -> Comparison:

@@ -27,10 +27,16 @@ def as_fraction(value) -> Fraction:
     shortest decimal representation, which is what a user typing 36.7 means.
     Decimals, strings and floats must keep their exponent within
     +/-MAX_DECIMAL_EXPONENT (1e100 and 1e-100 pass, 1e101 does not). A
-    Fraction is returned as it is.
+    Fraction is returned as it is. An unsigned ASCII "digits[.digits]" string of
+    at most MAX_DECIMAL_EXPONENT digits is read as digits / 10^k, with no Decimal.
     """
     if type(value) is Fraction:
         return value
+    if type(value) is str:
+        whole, dot, part = value.strip().partition(".")
+        digits = whole + part
+        if whole.isdigit() and (part.isdigit() or not dot) and digits.isascii() and len(digits) <= MAX_DECIMAL_EXPONENT:
+            return Fraction(int(digits), 10 ** len(part))
     if isinstance(value, bool):
         raise DomainError(f"expected a number, got {value!r}")
     if isinstance(value, Rational):
@@ -52,6 +58,14 @@ def as_fraction(value) -> Fraction:
     if max(abs(exponent), abs(number.adjusted())) > MAX_DECIMAL_EXPONENT:
         raise DomainError(f"exponent of {value!r} is outside +/-{MAX_DECIMAL_EXPONENT}")
     return Fraction(number)
+
+
+def _alpha(alpha) -> Fraction:
+    """An uncertainty level as a Fraction, checked to lie in (0, 1]."""
+    alpha = as_fraction(alpha)
+    if not 0 < alpha.numerator <= alpha.denominator:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -76,11 +90,12 @@ class Task:
         object.__setattr__(self, "cycle_time", as_fraction(self.cycle_time))
         object.__setattr__(self, "dev_plus", as_fraction(self.dev_plus))
         object.__setattr__(self, "dev_minus", as_fraction(self.dev_minus))
-        if self.cycle_time <= 0:
+        (ct_n, ct_d), (minus_n, minus_d) = self.cycle_time.as_integer_ratio(), self.dev_minus.as_integer_ratio()
+        if ct_n <= 0:  # signs and the last test on integers: Fraction comparisons cost four times more
             raise DomainError(f"task {self.id}: cycle_time must be > 0")
-        if self.dev_plus < 0 or self.dev_minus < 0:
+        if self.dev_plus.numerator < 0 or minus_n < 0:
             raise DomainError(f"task {self.id}: deviations must be >= 0")
-        if self.dev_minus >= self.cycle_time:
+        if minus_n * ct_d >= ct_n * minus_d:
             raise DomainError(
                 f"task {self.id}: dev_minus must stay below cycle_time so the "
                 "lower-bounded effective time remains positive"
@@ -181,13 +196,12 @@ def _require_staffable(plan: ProcessPlan, allocation: Allocation) -> None:
 
 
 def _effective_times(plan: ProcessPlan, allocation: Allocation) -> dict[int, Fraction]:
-    """Each task's effective cycle time t_i / s_i, keyed by id in plan order.
-    Outside the solvers, the one place a task time is divided by its station
-    count into a Fraction (line_cycle_time compares the same quotients as
-    integer pairs)."""
+    """Each task's effective cycle time t_i / s_i, keyed by id in plan order:
+    one Fraction(n, d * s_i) from the task's integer pair n/d, the quotient
+    that line_cycle_time compares by cross multiplication."""
     _require_coverage(plan, allocation)
     stations = allocation.stations
-    return {t.id: t.cycle_time / stations[t.id] for t in plan.tasks}
+    return {task_id: Fraction(n, d * stations[task_id]) for task_id, n, d in plan._ratios}
 
 
 def line_cycle_time(plan: ProcessPlan, allocation: Allocation) -> Fraction:
@@ -196,6 +210,11 @@ def line_cycle_time(plan: ProcessPlan, allocation: Allocation) -> Fraction:
     t_i / s_i is compared as the integer pair (numerator, denominator * s_i)
     by cross multiplication, which is exact and builds one Fraction in all.
     """
+    return Fraction(*_line_ct_pair(plan, allocation))
+
+
+def _line_ct_pair(plan: ProcessPlan, allocation: Allocation) -> tuple[int, int]:
+    """The line cycle time as the integer pair (n, d * s_i) of its bottleneck."""
     _require_coverage(plan, allocation)
     stations = allocation.stations
     top_n, top_d = 0, 1
@@ -203,7 +222,7 @@ def line_cycle_time(plan: ProcessPlan, allocation: Allocation) -> Fraction:
         d *= stations[task_id]
         if n * top_d > top_n * d:
             top_n, top_d = n, d
-    return Fraction(top_n, top_d)
+    return top_n, top_d
 
 
 def bottleneck_tasks(plan: ProcessPlan, allocation: Allocation) -> tuple[int, ...]:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
 
 from .errors import DomainError
 from .io import _REPORTS, _Kind, _render_columns, format_number, format_percent, format_seconds, format_upph
-from .metrics import _improvements, _prints_as_zero, upph
-from .model import Allocation, ProcessPlan, _effective_times, _require_coverage, as_fraction
+from .metrics import _improvement_rule, _prints_as_zero, upph
+from .model import Allocation, ProcessPlan, _alpha, _effective_times, _require_coverage, as_fraction
 
 
 @dataclass(frozen=True)
@@ -31,14 +30,6 @@ class CtInterval:
     alpha: Fraction
     d_plus: Fraction
     d_minus: Fraction
-
-
-def _alpha(alpha) -> Fraction:
-    """An uncertainty level as a Fraction, checked to lie in (0, 1]."""
-    alpha = as_fraction(alpha)
-    if not 0 < alpha.numerator <= alpha.denominator:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    return alpha
 
 
 def ct_interval(nominal, d_plus, d_minus, alpha) -> CtInterval:
@@ -158,15 +149,37 @@ def robust_line_report(
     intervals: dict[int, CtInterval],
 ) -> RobustReport:
     """Aggregate per-task intervals into line cycle-time and UPPH bounds. Each
-    interval is rebuilt by ct_interval, and rejected unless it matches the rebuilt
-    band and its nominal is t_i/s_i; the report keeps the rebuilt intervals."""
+    interval is rebuilt under the deviation-interval rule, and rejected unless
+    it matches the rebuilt band and its nominal is t_i/s_i; the report keeps the
+    rebuilt intervals. An error names the first failing task in plan order."""
     times = _effective_times(plan, allocation)
     _require_coverage(plan, intervals)
-    rebuilt = {}
-    for t in plan.tasks:
+    try:
+        rebuilt = _rebuilt(plan.tasks, times, intervals)
+    except Exception:
+        for t in plan.tasks:  # one task at a time, so that the first failing one raises
+            _rebuilt((t,), times, intervals)
+        raise
+    return _reports(plan, allocation, max(times.values()))(*rebuilt)
+
+
+def _rebuilt(tasks, times: dict, intervals: dict) -> tuple:
+    """The given intervals of `tasks` checked and rebuilt, one _widen per distinct alpha:
+    (their alpha, or None where they differ, the intervals, the best and the worst pace)."""
+    groups: dict = {}  # alpha -> its tasks' rows
+    for t in tasks:
         given = intervals[t.id]
         try:
-            rebuilt[t.id] = iv = ct_interval(given.nominal, given.d_plus, given.d_minus, given.alpha)
+            alpha = _alpha(given.alpha)
+            groups.setdefault(alpha, []).append(_row(t.id, as_fraction(given.nominal), given.d_plus, given.d_minus))
+        except DomainError as exc:
+            raise DomainError(f"task {t.id}: {exc}") from None
+    parts = [_widen(rows, alpha) for alpha, rows in groups.items()]
+    widened = {task_id: iv for ivs, _, _ in parts for task_id, iv in ivs.items()}
+    out = {}
+    for t in tasks:
+        given, iv = intervals[t.id], widened[t.id]
+        try:
             lo, hi = as_fraction(given.lo), as_fraction(given.hi)
             if lo != iv.lo or hi != iv.hi:
                 raise DomainError(f"interval [{lo}, {hi}] is not {iv.nominal} -/+ alpha*deviations")
@@ -174,15 +187,9 @@ def robust_line_report(
                 raise DomainError(f"nominal {iv.nominal} is not the effective cycle time {times[t.id]}")
         except DomainError as exc:
             raise DomainError(f"task {t.id}: {exc}") from None
-    ivs = rebuilt.values()
-    # equality, not a set: hashing a Fraction costs more than comparing two
-    alpha = rebuilt[plan.tasks[0].id].alpha
-    return _reports(plan, allocation, max(times.values()))(
-        alpha if all(iv.alpha == alpha for iv in ivs) else None,
-        rebuilt,
-        max(iv.lo for iv in ivs),
-        max(iv.hi for iv in ivs),
-    )
+        out[t.id] = iv
+    alpha = next(iter(groups)) if len(groups) == 1 else None
+    return alpha, out, max(best for _, best, _ in parts), max(worst for _, _, worst in parts)
 
 
 def _baseline_upph(plan: ProcessPlan) -> Fraction:
@@ -193,19 +200,20 @@ def _baseline_upph(plan: ProcessPlan) -> Fraction:
 
 def _reports(plan: ProcessPlan, allocation: Allocation, regular: Fraction):
     """RobustReports of one line at a regular pace: the fields that do not
-    depend on alpha are computed once, here."""
-    baseline = _baseline_upph(plan)
+    depend on alpha are computed once, here, and the others from integer
+    pairs, one Fraction per figure."""
     workers = allocation.total
     throughput_regular = plan.period / regular
     upph_regular = upph(throughput_regular, workers)
+    p, q = plan.period.as_integer_ratio()
+    gains = _improvement_rule(_baseline_upph(plan))
 
     def report(alpha, intervals: dict, best: Fraction, worst: Fraction) -> RobustReport:
-        throughput_worst = floor(plan.period / worst)
-        throughput_best = ceil(plan.period / best)
-        upph_min = upph(Fraction(throughput_worst), workers)
-        upph_max = upph(Fraction(throughput_best), workers)
-        eff_max, eff_max_displayed = _improvements(upph_max, baseline)
-        eff_min, eff_min_displayed = _improvements(upph_min, baseline)
+        (best_n, best_d), (worst_n, worst_d) = best.as_integer_ratio(), worst.as_integer_ratio()
+        throughput_worst = p * worst_d // (q * worst_n)
+        throughput_best = -(-p * best_d // (q * best_n))
+        eff_max, eff_max_displayed = gains(throughput_best, workers)
+        eff_min, eff_min_displayed = gains(throughput_worst, workers)
         return RobustReport(
             plan=plan,
             allocation=allocation,
@@ -218,8 +226,8 @@ def _reports(plan: ProcessPlan, allocation: Allocation, regular: Fraction):
             throughput_best=throughput_best,
             throughput_worst=throughput_worst,
             upph_regular=upph_regular,
-            upph_max=upph_max,
-            upph_min=upph_min,
+            upph_max=Fraction(throughput_best, workers),
+            upph_min=Fraction(throughput_worst, workers),
             eff_max=eff_max,
             eff_min=eff_min,
             eff_max_displayed=eff_max_displayed,

@@ -61,12 +61,12 @@ from .model import (
     SECONDS_PER_HOUR,
     Allocation,
     ProcessPlan,
+    _alpha,
     _require_staffable,
     as_fraction,
     bottleneck_tasks,
     line_cycle_time,
 )
-from .robust import _alpha, effective_intervals
 
 _SERVICE_MODELS = ("deterministic", "uniform")
 
@@ -166,6 +166,8 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
     if uniform:
         # a stage's deviations widen its effective time, so a server's raw band is
         # s_i times it. lo + width * random() is how random.uniform draws
+        from .robust import effective_intervals  # only here: a deterministic run loads no robust or metrics
+
         intervals = effective_intervals(plan, allocation, config.alpha).values()
         bounds = [(float(k * iv.lo), float(k * iv.hi)) for k, iv in zip(s, intervals)]
         low, width = [lo for lo, _ in bounds], [hi - lo for lo, hi in bounds]

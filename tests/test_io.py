@@ -724,8 +724,9 @@ def _paths(node, path=()):
 
 
 def _shape(path):
-    """A simulation document's kinds of node: each top-level field, each field
-    of a WIP sample (any sample, any queue), and any node inside an input."""
+    """A simulation or balance document's kinds of node: each top-level field,
+    each field of a WIP sample or an iteration (any sample, any queue, any
+    split), and any node inside an input."""
     if path[0] in ("plan", "allocation", "config"):
         return path[:1] + ("*",) * (len(path) > 1)
     return tuple("*" if isinstance(key, int) or key.isdigit() else key for key in path)
@@ -823,8 +824,10 @@ def _mutated_documents(draw, reports):
             new = draw(st.one_of(st.sampled_from(list(lengths)), st.integers(0, 60).map(str), st.text(max_size=3)))
             data["wip_timeseries"][k]["queue_lengths"] = {new if key == old else key: v for key, v in lengths.items()}
             return original, data, ("wip_timeseries", k, "queue_lengths")
-        # most nodes are samples': draw a kind of node first, so that the
-        # top-level figures are mutated as often as each field of a sample
+    if isinstance(original, (hl.SimResult, hl.BalanceResult)):
+        # most nodes are samples' or the plan's: draw a kind of node first, so
+        # that the top-level figures, a balance's allocation and its iterations
+        # are mutated as often as each field of a sample or the plan
         shape = draw(st.sampled_from(sorted({_shape(p) for p in paths})))
         paths = [p for p in paths if _shape(p) == shape]
     path = draw(st.sampled_from(paths))

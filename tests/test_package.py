@@ -38,6 +38,14 @@ def test_balance_loads_no_metrics_robust_or_simulator():
     assert loaded.isdisjoint({"hangerline.metrics", "hangerline.robust", "hangerline.simulator"})
 
 
+def test_deterministic_simulate_loads_no_robust_or_metrics():
+    run = f"import hangerline.cli as cli\nassert cli.main(['simulate', '--tasks', {str(SHIRT)!r}, '--seats', '32', '--hours', '2'"
+    loaded = _loaded_after(run + ", '--warmup', '1', '--verify']) == 0")
+    assert "hangerline.simulator" in loaded
+    assert loaded.isdisjoint({"hangerline.metrics", "hangerline.robust"})
+    assert "hangerline.robust" in _loaded_after(run + ", '--service', 'uniform']) == 0")
+
+
 def test_simulation_document_parses_with_nothing_loaded_first(tmp_path, shirt_plan, balanced):
     run = hl.simulate(shirt_plan, balanced.allocation, SimConfig(horizon_s=600, warmup_s=120))
     document = tmp_path / "run.json"

@@ -180,6 +180,30 @@ class TestEffectiveIntervals:
         assert hl.effective_intervals(plan, alloc, Fraction(1, 2), devs)[2].lo == 15
 
 
+    @pytest.mark.parametrize("task_2, message", [
+        (dict(d_minus=60, lo=0), r"alpha\*d_minus = 60 swallows the nominal cycle time 60$"),
+        (dict(d_minus=0, lo=59), r"interval \[59, 60\] is not 60 -/\+ alpha\*deviations$"),
+    ], ids=["swallowed", "wrong_lo"])
+    def test_first_failing_task_in_plan_order_is_named_across_alphas(self, task_2, message):
+        # tasks 1 and 3 sit at alpha 1/2, task 2 at alpha 1: the first failing
+        # task in plan order, 2, is not in the first alpha's group, and task 3's
+        # band is swallowed as well
+        plan = make_plan([30, 60, 90], 3)
+        alloc = hl.Allocation.ones(plan)
+        half = dict(alpha=Fraction(1, 2), d_plus=0, d_minus=0)
+        intervals = {
+            1: hl.CtInterval(nominal=30, lo=30, hi=30, **half),
+            2: hl.CtInterval(**{**dict(nominal=60, hi=60, alpha=1, d_plus=0), **task_2}),
+            3: hl.CtInterval(**{**half, "nominal": 90, "lo": 0, "hi": 90, "d_minus": 200}),
+        }
+        with pytest.raises(DomainError, match=f"^task 2: {message}"):
+            hl.robust_line_report(plan, alloc, intervals)
+        del intervals[2]
+        fixed = {**intervals, 2: hl.ct_interval(60, 0, 0, 1)}
+        with pytest.raises(DomainError, match=r"^task 3: alpha\*d_minus = 100 swallows the nominal cycle time 90$"):
+            hl.robust_line_report(plan, alloc, fixed)
+
+
 @pytest.fixture(scope="module")
 def report(shirt_plan, balanced, deviations):
     intervals = hl.effective_intervals(shirt_plan, balanced.allocation, 1, deviations)
