@@ -22,11 +22,11 @@ MAX_ALPHA_POINTS = 10_000
 # the largest --seats any subcommand accepts, about 3x the largest lines in
 # view (~3000 seats); balancing time grows with every seat
 MAX_SEATS = 10_000
-# the most tasks x alpha points sweep takes on: ~4 s and ~160 MB (250 tasks x
-# 800 points ran 3.7 s at a 160 MB peak on one core of a 2-vCPU Xeon)
+# the most tasks x alpha points sweep takes on: ~2 s and ~150 MB (250 tasks x 800
+# points at 1,000 seats ran 1.6 s wall at a 146 MB peak on one core of a 2-vCPU Xeon)
 MAX_SWEEP_CELLS = 200_000
-# the most stage visits plus WIP samples simulate takes on: ~4 s at ~500k visits/s
-# (the 1,100 h shirt run, 1.88M visits, on one core of a 2-vCPU Xeon)
+# the most stage visits plus WIP samples simulate takes on: ~3 s at ~650k visits/s
+# (the 1,100 h shirt run, 1.88M visits, 2.9 s wall on one core of a 2-vCPU Xeon)
 MAX_SIM_EVENTS = 2_000_000
 
 

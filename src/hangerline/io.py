@@ -1,11 +1,11 @@
 """Task-table ingestion, bundled fixtures, and the report codec: tables and
 JSON round trips.
 
-Numbers cross this boundary as exact values: CSV cells parse through Decimal
-into Fractions, and JSON reports store Fractions as "numerator/denominator"
-strings. Display strings round cycle times to one decimal (half up) and cut
-UPPH figures to two decimals without rounding, because that is how the
-printed shop figures these reports sit next to are produced.
+Numbers cross this boundary as exact values: CSV cells parse into Fractions
+(plain decimal text by int(), other text through Decimal), and JSON reports
+store Fractions as "numerator/denominator" strings. Display strings round
+cycle times to one decimal (half up) and cut UPPH figures to two decimals
+without rounding, as the printed shop figures beside these reports are.
 
 The codec knows no report kind: the module that builds one registers it in
 _REPORTS on import, and report_from_dict imports those modules itself.

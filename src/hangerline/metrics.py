@@ -7,19 +7,12 @@ views side by side so neither number looks like a typo.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .io import _REPORTS, _Kind, format_number, format_percent, format_seconds, format_upph
-from .model import (
-    Allocation,
-    ProcessPlan,
-    _line_ct_pair,
-    _require_staffable,
-    as_fraction,
-    throughput,
-)
+from .model import Allocation, ProcessPlan, _require_staffable, as_fraction, line_cycle_time, throughput
 
 
 def truncate_decimals(value, places: int = 2) -> Fraction:
@@ -93,6 +86,13 @@ class ProductivityReport:
     utilization: dict[int, Fraction]
     idle_fraction: dict[int, Fraction]
 
+    def __post_init__(self):
+        # exact figures, a decoded JSON number read as its decimal (as Task's are)
+        for name in ("line_cycle_time", "output_per_hour", "upph"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+        for name in ("utilization", "idle_fraction"):
+            object.__setattr__(self, name, {k: as_fraction(v) for k, v in getattr(self, name).items()})
+
 
 @dataclass(frozen=True)
 class Comparison:
@@ -116,15 +116,22 @@ def productivity_report(plan: ProcessPlan, allocation: Allocation) -> Productivi
     """Compute throughput, UPPH and per-task utilization for an allocation.
 
     Output is per plan.period (an hour by default). With t_i/s_i as the pair
-    n/(d*s_i) and the line CT c_n/c_d found by line_cycle_time's cross
-    multiplication (_line_ct_pair), utilization is one Fraction(n*c_d, d*s_i*c_n).
+    n/(d*s_i) and the line CT as c_n/c_d, utilization is one Fraction(n*c_d, d*s_i*c_n).
     """
-    ct_n, ct_d = _line_ct_pair(plan, allocation)
-    pairs = [(task_id, n, d * allocation.stations[task_id]) for task_id, n, d in plan._ratios]
-    ct, workers = Fraction(ct_n, ct_d), allocation.total
-    output = throughput(ct, plan.period)
-    utilization = {task_id: Fraction(n * ct_d, d * ct_n) for task_id, n, d in pairs}
-    idle = {task_id: Fraction(d * ct_n - n * ct_d, d * ct_n) for task_id, n, d in pairs}
+    ct = line_cycle_time(plan, allocation)
+    ct_n, ct_d = ct.as_integer_ratio()
+    stations = allocation.stations
+    utilization = {task_id: Fraction(n * ct_d, d * stations[task_id] * ct_n) for task_id, n, d in plan._ratios}
+    return _productivity(ct, throughput(ct, plan.period), allocation.total, utilization)
+
+
+def _productivity(ct: Fraction, output: Fraction, workers: int, utilization: dict) -> ProductivityReport:
+    """The report of a line's figures: its UPPH, and each idle share 1 - u as
+    one Fraction from u's integer pair."""
+    idle = {}
+    for task_id, u in utilization.items():
+        n, d = u.as_integer_ratio()
+        idle[task_id] = Fraction(d - n, d)
     return ProductivityReport(ct, output, workers, upph(output, workers), utilization, idle)
 
 
@@ -184,9 +191,7 @@ def _rebuild_productivity(r: ProductivityReport) -> ProductivityReport:
     shares = r.utilization.values()
     if not shares or max(shares) != 1 or min(shares) <= 0:
         raise ValueError("utilization must give each task a share in (0, 1], the largest exactly 1")
-    return replace(
-        r, upph=upph(r.output_per_hour, r.workers), idle_fraction={task_id: 1 - u for task_id, u in r.utilization.items()}
-    )
+    return _productivity(r.line_cycle_time, r.output_per_hour, r.workers, r.utilization)
 
 
 def _rebuild_comparison(c: Comparison) -> Comparison:

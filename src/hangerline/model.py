@@ -210,11 +210,6 @@ def line_cycle_time(plan: ProcessPlan, allocation: Allocation) -> Fraction:
     t_i / s_i is compared as the integer pair (numerator, denominator * s_i)
     by cross multiplication, which is exact and builds one Fraction in all.
     """
-    return Fraction(*_line_ct_pair(plan, allocation))
-
-
-def _line_ct_pair(plan: ProcessPlan, allocation: Allocation) -> tuple[int, int]:
-    """The line cycle time as the integer pair (n, d * s_i) of its bottleneck."""
     _require_coverage(plan, allocation)
     stations = allocation.stations
     top_n, top_d = 0, 1
@@ -222,7 +217,7 @@ def _line_ct_pair(plan: ProcessPlan, allocation: Allocation) -> tuple[int, int]:
         d *= stations[task_id]
         if n * top_d > top_n * d:
             top_n, top_d = n, d
-    return top_n, top_d
+    return Fraction(top_n, top_d)
 
 
 def bottleneck_tasks(plan: ProcessPlan, allocation: Allocation) -> tuple[int, ...]:

@@ -90,14 +90,14 @@ def _rows(plan: ProcessPlan, times: dict[int, Fraction], deviations: Deviations 
         yield row
 
 
-def _widen(rows, alpha: Fraction) -> tuple[dict, Fraction, Fraction]:
+def _widen(rows, alpha: Fraction, best=(0, 1), worst=(0, 1)) -> tuple[dict, tuple, tuple]:
     """The deviation-interval rule at one alpha = p/q: each task's interval,
-    lo = (a*e*q - p*c*b) / (b*e*q) and hi alike, and the line's best and worst
-    paces by cross multiplication. Tasks share no common denominator, which
-    coprime ones would grow without bound. A band must keep lo > 0."""
+    lo = (a*e*q - p*c*b) / (b*e*q) and hi alike, and the best and worst paces as
+    integer pairs folded into the given ones by cross multiplication (no common
+    denominator, which coprime ones would grow without bound). A band must keep lo > 0."""
     p, q = alpha.as_integer_ratio()
     out = {}
-    best_n, best_d, worst_n, worst_d = 0, 1, 0, 1
+    (best_n, best_d), (worst_n, worst_d) = best, worst
     for task_id, nominal, d_plus, d_minus, ae_m, cb_m, be_m, ae_p, cb_p, be_p in rows:
         lo_n, lo_d = ae_m * q - p * cb_m, be_m * q
         hi_n, hi_d = ae_p * q + p * cb_p, be_p * q
@@ -109,7 +109,7 @@ def _widen(rows, alpha: Fraction) -> tuple[dict, Fraction, Fraction]:
             best_n, best_d = lo_n, lo_d
         if hi_n * worst_d > worst_n * hi_d:
             worst_n, worst_d = hi_n, hi_d
-    return out, Fraction(best_n, best_d), Fraction(worst_n, worst_d)
+    return out, (best_n, best_d), (worst_n, worst_d)
 
 
 @dataclass(frozen=True)
@@ -151,45 +151,28 @@ def robust_line_report(
     """Aggregate per-task intervals into line cycle-time and UPPH bounds. Each
     interval is rebuilt under the deviation-interval rule, and rejected unless
     it matches the rebuilt band and its nominal is t_i/s_i; the report keeps the
-    rebuilt intervals. An error names the first failing task in plan order."""
+    rebuilt intervals. One pass in plan order, so an error names the first
+    failing task; the report's alpha is None where the intervals' differ."""
     times = _effective_times(plan, allocation)
     _require_coverage(plan, intervals)
-    try:
-        rebuilt = _rebuilt(plan.tasks, times, intervals)
-    except Exception:
-        for t in plan.tasks:  # one task at a time, so that the first failing one raises
-            _rebuilt((t,), times, intervals)
-        raise
-    return _reports(plan, allocation, max(times.values()))(*rebuilt)
-
-
-def _rebuilt(tasks, times: dict, intervals: dict) -> tuple:
-    """The given intervals of `tasks` checked and rebuilt, one _widen per distinct alpha:
-    (their alpha, or None where they differ, the intervals, the best and the worst pace)."""
-    groups: dict = {}  # alpha -> its tasks' rows
-    for t in tasks:
+    out, best, worst, common = {}, (0, 1), (0, 1), None  # common: the one alpha, None once two differ
+    for t in plan.tasks:
         given = intervals[t.id]
         try:
             alpha = _alpha(given.alpha)
-            groups.setdefault(alpha, []).append(_row(t.id, as_fraction(given.nominal), given.d_plus, given.d_minus))
-        except DomainError as exc:
-            raise DomainError(f"task {t.id}: {exc}") from None
-    parts = [_widen(rows, alpha) for alpha, rows in groups.items()]
-    widened = {task_id: iv for ivs, _, _ in parts for task_id, iv in ivs.items()}
-    out = {}
-    for t in tasks:
-        given, iv = intervals[t.id], widened[t.id]
-        try:
-            lo, hi = as_fraction(given.lo), as_fraction(given.hi)
+            row = _row(None, as_fraction(given.nominal), given.d_plus, given.d_minus)
+            ivs, best, worst = _widen((row,), alpha, best, worst)
+            iv, lo, hi = ivs[None], as_fraction(given.lo), as_fraction(given.hi)
             if lo != iv.lo or hi != iv.hi:
                 raise DomainError(f"interval [{lo}, {hi}] is not {iv.nominal} -/+ alpha*deviations")
             if iv.nominal != times[t.id]:
                 raise DomainError(f"nominal {iv.nominal} is not the effective cycle time {times[t.id]}")
         except DomainError as exc:
             raise DomainError(f"task {t.id}: {exc}") from None
+        if alpha is not common and alpha != common:  # identity first: no Fraction comparison per task
+            common = None if out else alpha
         out[t.id] = iv
-    alpha = next(iter(groups)) if len(groups) == 1 else None
-    return alpha, out, max(best for _, best, _ in parts), max(worst for _, _, worst in parts)
+    return _reports(plan, allocation, max(times.values()))(common, out, best, worst)
 
 
 def _baseline_upph(plan: ProcessPlan) -> Fraction:
@@ -208,8 +191,8 @@ def _reports(plan: ProcessPlan, allocation: Allocation, regular: Fraction):
     p, q = plan.period.as_integer_ratio()
     gains = _improvement_rule(_baseline_upph(plan))
 
-    def report(alpha, intervals: dict, best: Fraction, worst: Fraction) -> RobustReport:
-        (best_n, best_d), (worst_n, worst_d) = best.as_integer_ratio(), worst.as_integer_ratio()
+    def report(alpha, intervals: dict, best: tuple, worst: tuple) -> RobustReport:
+        (best_n, best_d), (worst_n, worst_d) = best, worst
         throughput_worst = p * worst_d // (q * worst_n)
         throughput_best = -(-p * best_d // (q * best_n))
         eff_max, eff_max_displayed = gains(throughput_best, workers)
@@ -220,8 +203,8 @@ def _reports(plan: ProcessPlan, allocation: Allocation, regular: Fraction):
             intervals=intervals,
             alpha=alpha,
             line_ct_regular=regular,
-            line_ct_best=best,
-            line_ct_worst=worst,
+            line_ct_best=Fraction(best_n, best_d),
+            line_ct_worst=Fraction(worst_n, worst_d),
             throughput_regular=throughput_regular,
             throughput_best=throughput_best,
             throughput_worst=throughput_worst,

@@ -135,8 +135,8 @@ def test_number_text_examples(text):
     assert _outcome(lambda: _frac_in(text)) == _outcome(lambda: oracles.frac_in(text))
 
 
-# An iteration decodes without the generic tuple decoder when it is a
-# two-element list; any other shape keeps the generic decoder's message.
+# A balance's iterations decode through the generic tuple[int, Fraction]
+# decoder; a malformed one fails with that decoder's message.
 _SHIRT = hl.ProcessPlan(tasks=hl.load_tasks(hl.fixture_path("shirt_main_assembly.csv")), seat_budget=32)
 
 

@@ -261,6 +261,43 @@ class TestReportRoundTrips:
         assert data["improvement_displayed"] == "124/157"
         assert hl.report_from_dict(data) == cmp
 
+    @staticmethod
+    def _split_comparison():
+        # 120 s and 90 s at 3 seats: 30 pc/h on one station each, 40 with task 1 split
+        tasks = hl.parse_tasks("task_id,description,cycle_time_sec\n1,a,120\n2,b,90\n")
+        plan = hl.ProcessPlan(tasks=tasks, seat_budget=3)
+        return hl.compare(plan, hl.Allocation.ones(plan), hl.Allocation({1: 2, 2: 1}))
+
+    def test_comparison_with_outputs_written_as_json_floats(self):
+        cmp = self._split_comparison()
+        data = json.loads(hl.emit_report(cmp, "json"))
+        assert data["output_ratio"] == "4/3"
+        data["before"]["output_per_hour"], data["after"]["output_per_hour"] = 30.0, 40.0
+        decoded = hl.report_from_dict(data)
+        assert decoded == cmp and decoded.output_ratio == Fraction(4, 3)
+
+    def test_productivity_with_an_output_written_as_a_json_float(self):
+        text = hl.emit_report(self._split_comparison().after, "json")
+        data = json.loads(text)
+        data["output_per_hour"] = 40.0
+        decoded = hl.report_from_dict(data)
+        assert type(decoded.output_per_hour) is Fraction
+        assert hl.emit_report(decoded, "json") == text
+
+    def test_productivity_figures_written_as_json_floats_read_as_decimals(self):
+        # 120 s and 12 s on one station each: task 2 works a tenth of the time,
+        # which no binary float holds; every figure written as a float reads as its decimal
+        plan = hl.ProcessPlan(tasks=hl.parse_tasks("task_id,description,cycle_time_sec\n1,a,120\n2,b,12\n"),
+                              seat_budget=2)
+        report = hl.productivity_report(plan, hl.Allocation.ones(plan))
+        text = hl.emit_report(report, "json")
+        data = json.loads(text)
+        data.update(line_cycle_time=120.0, output_per_hour=30.0, upph=15.0)
+        data.update(utilization={"1": 1.0, "2": 0.1}, idle_fraction={"1": 0.0, "2": 0.9})
+        decoded = hl.report_from_dict(data)
+        assert decoded == report and decoded.utilization[2] == Fraction(1, 10)
+        assert hl.emit_report(decoded, "json") == text
+
     def test_robust(self, shirt_plan, balanced, deviations):
         intervals = hl.effective_intervals(shirt_plan, balanced.allocation, 1, deviations)
         report = hl.robust_line_report(shirt_plan, balanced.allocation, intervals)

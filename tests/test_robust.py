@@ -1,4 +1,5 @@
 """Interval uncertainty: per-task CT bands, line-level bounds, alpha sweeps."""
+import dataclasses
 import hashlib
 import json
 import math
@@ -468,6 +469,25 @@ def _ref_ct_interval(nominal, d_plus, d_minus, alpha):
     return nominal, lo, nominal + alpha * d_plus, alpha, d_plus, d_minus
 
 
+def _ref_rebuild(plan, allocation, intervals):
+    """Report fields from given CtIntervals, each rebuilt by _ref_ct_interval
+    and checked task by task in plan order: its band, then its nominal."""
+    rebuilt = {}
+    for t in plan.tasks:
+        given, time = intervals[t.id], t.cycle_time / allocation.stations[t.id]
+        try:
+            iv = _ref_ct_interval(given.nominal, given.d_plus, given.d_minus, given.alpha)
+            lo, hi = hl.as_fraction(given.lo), hl.as_fraction(given.hi)
+            if (lo, hi) != iv[1:3]:
+                raise DomainError(f"interval [{lo}, {hi}] is not {iv[0]} -/+ alpha*deviations")
+            if iv[0] != time:
+                raise DomainError(f"nominal {iv[0]} is not the effective cycle time {time}")
+        except DomainError as exc:
+            raise DomainError(f"task {t.id}: {exc}") from None
+        rebuilt[t.id] = iv
+    return _ref_report(plan, allocation, rebuilt)
+
+
 def _ref_intervals(plan, allocation, alpha, deviations):
     hl.line_cycle_time(plan, allocation)  # the coverage check, with its messages
     times = {t.id: t.cycle_time / allocation.stations[t.id] for t in plan.tasks}
@@ -650,3 +670,58 @@ def test_kernel_matches_the_fraction_reference(case):
             assert _fields(hl.robust_line_report(plan, alloc, intervals)) == _ref_report(
                 plan, alloc, _as_tuples(intervals)
             )
+
+
+_TAMPER_KINDS = ("alpha", "negative", "swallow", "lo", "hi", "nominal", "junk")
+
+
+def _tamper(draw, iv, kind):
+    """One rule broken in `iv`: alpha 0 or 3/2, a negative deviation, a d_minus
+    that swallows the nominal, lo or hi off by one, a wrong nominal (with the
+    old band, or one consistent in itself), or a lo that is not a number."""
+    if kind == "alpha":
+        return dataclasses.replace(iv, alpha=draw(st.sampled_from([Fraction(0), Fraction(3, 2)])))
+    if kind == "negative":
+        return dataclasses.replace(iv, **{draw(st.sampled_from(["d_plus", "d_minus"])): Fraction(-1)})
+    if kind == "swallow":
+        return dataclasses.replace(iv, d_minus=2 * iv.nominal)
+    if kind in ("lo", "hi") and getattr(iv, kind) != "junk":  # a junk lo stays junk, below
+        return dataclasses.replace(iv, **{kind: getattr(iv, kind) + draw(st.sampled_from([-1, 1]))})
+    if kind == "nominal":
+        nominal = iv.nominal + 1
+        if draw(st.booleans()):  # the old band, which no longer fits
+            return dataclasses.replace(iv, nominal=nominal)
+        return dataclasses.replace(iv, nominal=nominal, lo=nominal - iv.alpha * iv.d_minus,
+                                   hi=nominal + iv.alpha * iv.d_plus)
+    return dataclasses.replace(iv, lo="junk")
+
+
+@st.composite
+def _tampered_lines(draw):
+    """A line of 1-5 tasks, its greedy allocation and each task's effective
+    interval at alpha 1/2 or 1, tampered up to 4 times (a task may be hit again)."""
+    n = draw(st.integers(1, 5))
+    tasks = [hl.Task(id=i + 1, description=f"op {i + 1}", cycle_time=draw(_rational(1, 120))) for i in range(n)]
+    plan = hl.ProcessPlan(tasks=tasks, seat_budget=n + draw(st.integers(0, 6)))
+    alloc = hl.greedy_balance(plan).allocation
+    share = st.integers(0, 19).map(lambda k: Fraction(k, 20))
+    deviations = {
+        t.id: (draw(_rational(0, 4)), draw(share) * t.cycle_time / alloc.stations[t.id]) for t in tasks
+    }
+    bands = [hl.effective_intervals(plan, alloc, a, deviations) for a in (Fraction(1, 2), 1)]
+    intervals = {tid: bands[draw(st.integers(0, 1))][tid] for tid in plan.task_ids}
+    for _ in range(draw(st.integers(0, 4))):
+        tid = draw(st.sampled_from(plan.task_ids))
+        intervals[tid] = _tamper(draw, intervals[tid], draw(st.sampled_from(_TAMPER_KINDS)))
+    return plan, alloc, intervals
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_tampered_lines())
+def test_rebuild_names_the_first_failing_task_in_plan_order(case):
+    # whichever tasks are broken, and however often, the report or the first
+    # error in plan order (each task's checks in the reference's order) is the
+    # per-task reference's
+    plan, alloc, intervals = case
+    got = _outcome(lambda: _fields(hl.robust_line_report(plan, alloc, intervals)))
+    assert got == _outcome(lambda: _ref_rebuild(plan, alloc, intervals))
