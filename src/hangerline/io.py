@@ -216,7 +216,9 @@ def fixture_path(name: str) -> Path:
 # key per field in field order, then the kind's derived keys.
 # Fractions become "num/den" strings; floats (uniform-mode utilizations) stay
 # numbers. Dicts keyed by task id get string keys, an int-valued one in a single
-# comprehension; an Allocation is its station map. report_from_dict reads it back.
+# comprehension; an Allocation is its station map. A kind may bring its own
+# codec for a simulation's WIP samples, the bulk of its document (see _Kind).
+# report_from_dict reads it back.
 
 # field name -> JSON key, where the two differ
 _KEYS = {"line_ct_regular": "regular", "line_ct_best": "best", "line_ct_worst": "worst"}
@@ -253,7 +255,9 @@ class _Kind(typing.NamedTuple):
     table: typing.Callable
     rebuild: typing.Callable  # the report a decoded document must equal
     derived: typing.Callable = lambda r: {}  # keys written after the fields, checked where stated
-    samples: typing.Callable = None  # decode(raw, plan, config) of a simulation's wip_timeseries
+    # (write, decode) of a simulation's wip_timeseries: write(samples, ind) as the
+    # generic writer writes them, decode(raw, plan, config) against its plan and config
+    samples: tuple | None = None
 
 
 _REPORTS: dict[type, _Kind] = {}  # report class -> its kind, filled in by the module that builds it
@@ -267,8 +271,11 @@ def _dataclass_codec(cls):
         (f.name, _KEYS.get(f.name, f.name), *_codec(hints[f.name]))
         for f in dataclasses.fields(cls)
     ]
-    written = [(name, _str(key) + ": ", w) for name, key, w, _ in fields]
     samples = entry and entry.samples  # a simulation's samples decode last, against its plan and config
+    written = [
+        (name, _str(key) + ": ", samples[0] if samples and name == "wip_timeseries" else w)
+        for name, key, w, _ in fields
+    ]
     decoded = [f for f in fields if not samples or f[0] != "wip_timeseries"]
 
     def write(obj, ind):
@@ -281,7 +288,7 @@ def _dataclass_codec(cls):
     def decode(raw):
         got = {name: dec(raw[key]) for name, key, _, dec in decoded}
         if samples:
-            got["wip_timeseries"] = samples(raw["wip_timeseries"], got["plan"], got["config"])
+            got["wip_timeseries"] = samples[1](raw["wip_timeseries"], got["plan"], got["config"])
         return cls(**got)
 
     return write, decode
@@ -310,8 +317,8 @@ def _codec(hint):
         w, dec = _codec(args[1])
 
         def write(d, ind):
-            if args[1] is int:  # station maps, WIP queue lengths: no call per value
-                return _layout("{}", [f'"{k}": {v}' for k, v in d.items()], ind)
+            if args[1] is int:  # station maps: each value as the int writer writes it
+                return _layout("{}", [f'"{k}": {int.__repr__(v)}' for k, v in d.items()], ind)
             return _layout("{}", [f'"{k}": {w(v, ind + "  ")}' for k, v in d.items()], ind)
 
         return write, lambda raw: {int(k): dec(v) for k, v in raw.items()}

@@ -86,13 +86,6 @@ class ProductivityReport:
     utilization: dict[int, Fraction]
     idle_fraction: dict[int, Fraction]
 
-    def __post_init__(self):
-        # exact figures, a decoded JSON number read as its decimal (as Task's are)
-        for name in ("line_cycle_time", "output_per_hour", "upph"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        for name in ("utilization", "idle_fraction"):
-            object.__setattr__(self, name, {k: as_fraction(v) for k, v in getattr(self, name).items()})
-
 
 @dataclass(frozen=True)
 class Comparison:
@@ -185,7 +178,13 @@ def _rebuild_productivity(r: ProductivityReport) -> ProductivityReport:
     """The report its stored figures give (no period is stored, so the line
     cycle time, output and workers are taken as given, the cycle time if
     positive); each utilization must be a share in (0, 1], the bottleneck's
-    exactly 1."""
+    exactly 1. The decoded report's figures become exact first, in place, so a
+    JSON number reads as its decimal (as a Task's does) on both sides of the
+    comparison with the document."""
+    for name in ("line_cycle_time", "output_per_hour", "upph"):
+        object.__setattr__(r, name, as_fraction(getattr(r, name)))
+    for name in ("utilization", "idle_fraction"):
+        object.__setattr__(r, name, {k: as_fraction(v) for k, v in getattr(r, name).items()})
     if r.line_cycle_time <= 0:
         raise ValueError(f"line_cycle_time must be > 0, got {r.line_cycle_time}")
     shares = r.utilization.values()

@@ -23,16 +23,20 @@ holds its server (blocking after service) until a slot opens.
 Events are ordered by (time, stage index, piece id, kind). Two events that
 agree on all four are the same event, so their order cannot change the
 result, and identical inputs replay to bit-identical results. Each pass of the
-one event loop pops one event. A pass whose END frees a server of stage i, or
-whose ARRIVE fills stage i's queue, goes on to start every service stage i
-can. A START event is pushed only for the first release and where a queue
-slot opens, to wake the stage upstream and the loader. Starting in the same
-pass gives the same run as pushing a START (t, i, 0) and popping it: the pass
-popped an END or ARRIVE (t, i, p) with piece p >= 1, so every pending event
-is at least that, and no START (t, i, 0), which sorts before it, is pending.
-Before it starts service the pass has pushed at most an ARRIVE for stage
-i + 1, which sorts after that START. So the START would be the least event in
-the heap and would run next, on the state the pass left.
+one event loop takes one event. The ARRIVE an END schedules is held out of the
+heap, and the next pass takes heappushpop(heap, held): the least of it and the
+heap's top, which is what pushing it and popping would give, so the order is
+unchanged. Most often it is the held ARRIVE, which then never enters the heap.
+A pass whose END frees a server of stage i, or whose ARRIVE fills stage i's
+queue, goes on to start every service stage i can. A START event is pushed
+only for the first release and where a queue slot opens, to wake the stage
+upstream and the loader. Starting in the same pass gives the same run as
+pushing a START (t, i, 0) and popping it: the pass took an END or ARRIVE
+(t, i, p) with piece p >= 1, so every pending event is at least that, and no
+START (t, i, 0), which sorts before it, is pending. Before it starts service
+the pass has held at most an ARRIVE for stage i + 1, which sorts after that
+START. So the START would be the least pending event and would run next, on
+the state the pass left.
 
 Time runs on one clock whose tick is 1/scale seconds, where scale is the
 least common multiple of the denominators of the horizon, warmup, transfer
@@ -56,7 +60,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError, InvariantError
-from .io import _REPORTS, _Kind, _frac_in, _render_columns, format_number, format_percent
+from .io import _REPORTS, _Kind, _frac_in, _frac_out, _layout, _render_columns, format_number, format_percent
 from .model import (
     SECONDS_PER_HOUR,
     Allocation,
@@ -146,9 +150,10 @@ class SimResult:
     wip_timeseries: tuple[WipSample, ...]
 
 
-def _in_flight(time, released, completed, queue, servers_busy, inbound) -> int:
-    """Pieces in the line at `time`, checked against released = completed + in flight."""
-    in_flight = sum(map(len, queue)) + sum(servers_busy) + sum(inbound)
+def _in_flight(time, released, completed, lengths, servers_busy, inbound) -> int:
+    """Pieces in the line at `time`, from its queue lengths, busy servers and
+    pieces in transit, checked against released = completed + in flight."""
+    in_flight = sum(lengths) + sum(servers_busy) + sum(inbound)
     if released != completed + in_flight:
         raise InvariantError(
             f"piece conservation broken at t={time}: released={released}, "
@@ -199,12 +204,19 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
 
     samples: list[WipSample] = []
     heap: list[tuple] = []
-    push, pop = heapq.heappush, heapq.heappop
+    push, pop, pushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
     push(heap, (0, 0, 0, _START))
     push(heap, (0, n, 0, _SAMPLE))
+    held = None  # the ARRIVE the last pass scheduled, kept out of the heap
 
-    while heap:
-        t, i, piece, kind = pop(heap)
+    while True:
+        if held:
+            t, i, piece, kind = pushpop(heap, held) if heap else held
+            held = None
+        elif heap:
+            t, i, piece, kind = pop(heap)
+        else:
+            break
         if t > horizon:
             break
         if kind == _ARRIVE:
@@ -217,16 +229,16 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
                     completed += 1
             elif cap is None or len(queue[i + 1]) + inbound[i + 1] < cap:
                 inbound[i + 1] += 1
-                push(heap, (t + delay, i + 1, piece, _ARRIVE))
+                held = (t + delay, i + 1, piece, _ARRIVE)
             else:
                 blocked[i].append(piece)  # hold the server until a slot opens
                 continue
             servers_busy[i] -= 1
         elif kind == _SAMPLE:
             time = Fraction(t, scale)
-            in_flight = _in_flight(time, released, completed_total, queue, servers_busy, inbound)
-            lengths = dict(zip(later_ids, map(len, queue[1:])))
-            samples.append(WipSample(time, lengths, released, completed_total, in_flight))
+            lengths = [*map(len, queue)]
+            in_flight = _in_flight(time, released, completed_total, lengths, servers_busy, inbound)
+            samples.append(WipSample(time, dict(zip(later_ids, lengths[1:])), released, completed_total, in_flight))
             if t + interval <= horizon:
                 push(heap, (t + interval, n, 0, _SAMPLE))
             continue
@@ -258,7 +270,7 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
             if i == 1:
                 push(heap, (t, 0, 0, _START))
 
-    in_flight = _in_flight(config.horizon_s, released, completed_total, queue, servers_busy, inbound)
+    in_flight = _in_flight(config.horizon_s, released, completed_total, map(len, queue), servers_busy, inbound)
 
     # float busy time (uniform service) gives a float share, int ticks an exact
     # one. An exact busy time never exceeds the stage's server ticks in the
@@ -407,6 +419,31 @@ def _sim_table(r: SimResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sample_template(keys, ind) -> str:
+    """The %-template of a WipSample nested at ind whose queue lengths have
+    these keys, laid out as the generic writer lays out the object."""
+    lengths = _layout("{}", [f'"{k}"'.replace("%", "%%") + ": %s" for k in keys], ind + "  ")
+    fields = ['"time": %s', f'"queue_lengths": {lengths}', '"released": %s', '"completed": %s', '"in_flight": %s']
+    return _layout("{}", fields, ind)
+
+
+def _write_samples(samples, ind) -> str:
+    """A simulation's WIP samples, byte for byte as the generic writer writes
+    them, each filled into the template of its key tuple: a float time as a
+    JSON number, every count and length as int.__repr__ writes it (a bool as
+    0 or 1; a float raises TypeError)."""
+    inner, templates, rows = ind + "  ", {}, []
+    for x in samples:
+        time, lengths = _frac_out(x.time, inner), x.queue_lengths
+        keys = tuple(lengths)
+        row = templates.get(keys) or templates.setdefault(keys, _sample_template(keys, inner))
+        values = (*lengths.values(), x.released, x.completed, x.in_flight)
+        if [*map(type, values)].count(int) != len(values):  # %s writes an exact int as int.__repr__ does
+            values = [*map(int.__repr__, values)]
+        rows.append(row % (time, *values))
+    return _layout("[]", rows, ind)
+
+
 def _decode_samples(raw, plan, config) -> tuple[WipSample, ...]:
     """A simulation's WIP samples, read against its plan and config: one per
     sample interval from 0 to the horizon, each at its grid time, with int
@@ -416,22 +453,26 @@ def _decode_samples(raw, plan, config) -> tuple[WipSample, ...]:
     keys = [str(i) for i in ids]
     if len(raw) != config.horizon_s // step + 1:
         raise ValueError(f"wip_timeseries has {len(raw)} samples, not one per sample interval")
+    num, den = step.as_integer_ratio()
     samples, before = [], (0, 0)
     for k, x in enumerate(raw):
         lengths, counts = x["queue_lengths"], (x["released"], x["completed"], x["in_flight"])
         if type(lengths) is not dict or list(lengths) != keys:
             raise ValueError(f"wip_timeseries[{k}]: queue_lengths must be an object keyed by later task ids")
-        if {*map(type, lengths.values()), *map(type, counts)} != {int}:
+        values = (*lengths.values(), *counts)
+        if [*map(type, values)].count(int) != len(values):
             raise TypeError(f"wip_timeseries[{k}]: queue_lengths and counts must be integers")
-        time = Fraction(k * step.numerator, step.denominator)
-        if x["time"] != str(time) and _frac_in(x["time"]) != time:  # the text as written, or its number
-            raise ValueError(f"wip_timeseries[{k}]: time {x['time']!r} is off the sample grid, expected {time}")
+        # the time as written, or its number; on a whole-second grid it is an int
+        time = Fraction(k * num) if den == 1 else Fraction(k * num, den)
+        written = x["time"]
+        if written != (str(k * num) if den == 1 else str(time)) and _frac_in(written) != time:
+            raise ValueError(f"wip_timeseries[{k}]: time {written!r} is off the sample grid, expected {time}")
         if counts[0] != counts[1] + counts[2]:
             raise ValueError(f"wip_timeseries[{k}]: released {counts[0]} is not completed + in_flight")
         if counts[0] < before[0] or counts[1] < before[1]:
             raise ValueError(f"wip_timeseries[{k}]: released and completed must be at least 0 and never fall")
         before = counts
-        samples.append(WipSample(time, dict(zip(ids, lengths.values())), *counts))
+        samples.append(WipSample(time, dict(zip(ids, values)), *counts))
     return tuple(samples)
 
 
@@ -453,4 +494,4 @@ def _rebuild_simulation(r: SimResult) -> SimResult:
     )
 
 
-_REPORTS[SimResult] = _Kind("simulation", _sim_table, _rebuild_simulation, samples=_decode_samples)
+_REPORTS[SimResult] = _Kind("simulation", _sim_table, _rebuild_simulation, samples=(_write_samples, _decode_samples))

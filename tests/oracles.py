@@ -7,12 +7,18 @@ shares no code with the heap loop of greedy_balance and optimal_balance.
 The rest are the Fraction and Decimal versions of code the library now runs
 on integer pairs: the number formatters, the csv.writer plot writer, the
 Decimal string path of as_fraction, the regex-based JSON number reader and
-the Fraction-division productivity report. The library must match them value
-for value, byte for byte, and error for error.
+the Fraction-division productivity report. The simulation oracles are the
+event loop that pushes every event through its heap and counts each sample
+queue by queue, the generic writer of WIP samples and their decoder. The
+library must match them value for value, byte for byte, and error for error.
 """
 import csv
+import heapq
 import io
+import json
 import math
+import random
+from collections import deque
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from numbers import Rational
@@ -20,6 +26,8 @@ from typing import Iterator, NamedTuple
 
 import hangerline as hl
 from hangerline import DomainError
+from hangerline.model import _require_staffable
+from hangerline.simulator import _ARRIVE, _END, _SAMPLE, _START
 
 
 class Best(NamedTuple):
@@ -178,3 +186,167 @@ def compare(plan: hl.ProcessPlan, baseline: hl.Allocation, new: hl.Allocation) -
     base = cut(before.upph)
     displayed = exact if base == 0 else (cut(after.upph) - base) / base
     return hl.Comparison(before, after, exact, displayed, after.output_per_hour / before.output_per_hour)
+
+
+# --------------------------------------------------------------- simulation
+
+def simulate(plan: hl.ProcessPlan, allocation: hl.Allocation, config: hl.SimConfig) -> hl.SimResult:
+    """hl.simulate with every event through the heap and each sample counted
+    queue by queue: the ARRIVE an END schedules is pushed, and the loop pops
+    the least event each pass."""
+    _require_staffable(plan, allocation)
+    n = len(plan.tasks)
+    s = [allocation.count(t.id) for t in plan.tasks]
+    uniform = config.service_model == "uniform"
+    if uniform:
+        intervals = hl.effective_intervals(plan, allocation, config.alpha).values()
+        bounds = [(float(k * iv.lo), float(k * iv.hi)) for k, iv in zip(s, intervals)]
+        low, width = [lo for lo, _ in bounds], [hi - lo for lo, hi in bounds]
+        draw = random.Random(config.seed).random
+
+    exact = [config.horizon_s, config.warmup_s, config.transfer_delay_s, config.sample_interval_s]
+    if not uniform:
+        exact += [t.cycle_time for t in plan.tasks]
+    scale = math.lcm(*(x.denominator for x in exact))
+    horizon, warmup, delay, interval, *raw_time = (x.numerator * (scale // x.denominator) for x in exact)
+    cap = config.queue_capacity
+    front_limit = (s[1] if cap is None else min(s[1], cap)) + s[0] - 1 if n > 1 else None
+    later_ids = plan.task_ids[1:]
+
+    queue = [deque() for _ in range(n)]
+    blocked = [deque() for _ in range(n)]
+    inbound, servers_busy, busy_time = [0] * n, [0] * n, [0] * n
+    released = completed_total = completed = 0
+
+    def in_flight_at(time):
+        in_flight = sum(map(len, queue)) + sum(servers_busy) + sum(inbound)
+        if released != completed_total + in_flight:
+            raise hl.InvariantError(
+                f"piece conservation broken at t={time}: released={released}, "
+                f"completed={completed_total}, in_flight={in_flight}"
+            )
+        return in_flight
+
+    samples = []
+    heap = []
+    heapq.heappush(heap, (0, 0, 0, _START))
+    heapq.heappush(heap, (0, n, 0, _SAMPLE))
+    while heap:
+        t, i, piece, kind = heapq.heappop(heap)
+        if t > horizon:
+            break
+        if kind == _ARRIVE:
+            inbound[i] -= 1
+            queue[i].append(piece)
+        elif kind == _END:
+            if i == n - 1:
+                completed_total += 1
+                if t > warmup:
+                    completed += 1
+            elif cap is None or len(queue[i + 1]) + inbound[i + 1] < cap:
+                inbound[i + 1] += 1
+                heapq.heappush(heap, (t + delay, i + 1, piece, _ARRIVE))
+            else:
+                blocked[i].append(piece)
+                continue
+            servers_busy[i] -= 1
+        elif kind == _SAMPLE:
+            time = Fraction(t, scale)
+            in_flight = in_flight_at(time)
+            lengths = dict(zip(later_ids, map(len, queue[1:])))
+            samples.append(hl.WipSample(time, lengths, released, completed_total, in_flight))
+            if t + interval <= horizon:
+                heapq.heappush(heap, (t + interval, n, 0, _SAMPLE))
+            continue
+        q = queue[i]
+        while servers_busy[i] < s[i]:
+            if i:
+                if not q:
+                    break
+                piece = q.popleft()
+            elif n == 1 or len(queue[1]) + inbound[1] + servers_busy[0] < front_limit:
+                released += 1
+                piece = released
+            else:
+                break
+            servers_busy[i] += 1
+            end = t + ((low[i] + width[i] * draw()) * scale if uniform else raw_time[i])
+            lo = t if t > warmup else warmup
+            hi = end if end < horizon else horizon
+            busy_time[i] += hi - lo if hi > lo else 0
+            heapq.heappush(heap, (end, i, piece, _END))
+            if i and blocked[i - 1]:
+                inbound[i] += 1
+                heapq.heappush(heap, (t + delay, i, blocked[i - 1].popleft(), _ARRIVE))
+                servers_busy[i - 1] -= 1
+                heapq.heappush(heap, (t, i - 1, 0, _START))
+            if i == 1:
+                heapq.heappush(heap, (t, 0, 0, _START))
+
+    in_flight = in_flight_at(config.horizon_s)
+    utilization = {}
+    for i, busy in enumerate(busy_time):
+        capacity = s[i] * (horizon - warmup)
+        utilization[plan.tasks[i].id] = (
+            min(busy, capacity) / capacity if isinstance(busy, float) else Fraction(busy, capacity)
+        )
+    return hl.SimResult(
+        plan=plan, allocation=allocation, config=config, completed=completed,
+        completed_total=completed_total, released=released,
+        throughput=Fraction(completed) * hl.SECONDS_PER_HOUR / (config.horizon_s - config.warmup_s),
+        utilization=utilization, conservation=(released, completed_total, in_flight),
+        wip_timeseries=tuple(samples),
+    )
+
+
+def _layout(brackets: str, items: list[str], ind: str) -> str:
+    if not items:
+        return brackets
+    inner = ind + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + ind + brackets[1]
+
+
+def write_samples(samples, ind: str) -> str:
+    """The generic writer's text for a tuple of WipSamples nested at ind: each
+    sample an object of its fields in order, a float time as a JSON number and
+    any other as the string of its value, queue lengths keyed by '"{k}"', and
+    every count and length through int.__repr__."""
+
+    def sample(x, ind):
+        inner = ind + "  "
+        time = json.dumps(x.time) if isinstance(x.time, float) else f'"{x.time}"'
+        lengths = [f'"{k}": {int.__repr__(v)}' for k, v in x.queue_lengths.items()]
+        return _layout("{}", [
+            f'"time": {time}',
+            f'"queue_lengths": {_layout("{}", lengths, inner)}',
+            f'"released": {int.__repr__(x.released)}',
+            f'"completed": {int.__repr__(x.completed)}',
+            f'"in_flight": {int.__repr__(x.in_flight)}',
+        ], ind)
+
+    return _layout("[]", [sample(x, ind + "  ") for x in samples], ind)
+
+
+def decode_samples(raw, plan: hl.ProcessPlan, config: hl.SimConfig) -> tuple:
+    """A document's WIP samples read back with every time a Fraction(k * num, den)."""
+    ids, step = plan.task_ids[1:], config.sample_interval_s
+    keys = [str(i) for i in ids]
+    if len(raw) != config.horizon_s // step + 1:
+        raise ValueError(f"wip_timeseries has {len(raw)} samples, not one per sample interval")
+    samples, before = [], (0, 0)
+    for k, x in enumerate(raw):
+        lengths, counts = x["queue_lengths"], (x["released"], x["completed"], x["in_flight"])
+        if type(lengths) is not dict or list(lengths) != keys:
+            raise ValueError(f"wip_timeseries[{k}]: queue_lengths must be an object keyed by later task ids")
+        if {*map(type, lengths.values()), *map(type, counts)} != {int}:
+            raise TypeError(f"wip_timeseries[{k}]: queue_lengths and counts must be integers")
+        time = Fraction(k * step.numerator, step.denominator)
+        if x["time"] != str(time) and frac_in(x["time"]) != time:
+            raise ValueError(f"wip_timeseries[{k}]: time {x['time']!r} is off the sample grid, expected {time}")
+        if counts[0] != counts[1] + counts[2]:
+            raise ValueError(f"wip_timeseries[{k}]: released {counts[0]} is not completed + in_flight")
+        if counts[0] < before[0] or counts[1] < before[1]:
+            raise ValueError(f"wip_timeseries[{k}]: released and completed must be at least 0 and never fall")
+        before = counts
+        samples.append(hl.WipSample(time, dict(zip(ids, lengths.values())), *counts))
+    return tuple(samples)

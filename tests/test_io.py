@@ -678,6 +678,27 @@ class TestEmitReport:
         assert "78.98%" in table
         assert "3x" in table
 
+    @staticmethod
+    def _run_with_first_lengths(lengths):
+        # 30 s and 40 s at 3 seats, sample 0's queue lengths set by hand
+        plan = hl.ProcessPlan(tasks=hl.parse_tasks("task_id,description,cycle_time_sec\n1,a,30\n2,b,40\n"),
+                              seat_budget=3)
+        run = hl.simulate(plan, hl.greedy_balance(plan).allocation, SimConfig(horizon_s=120))
+        first = dataclasses.replace(run.wip_timeseries[0], queue_lengths=lengths)
+        return dataclasses.replace(run, wip_timeseries=(first, *run.wip_timeseries[1:]))
+
+    def test_a_bool_queue_length_is_written_as_an_int(self):
+        text = hl.emit_report(self._run_with_first_lengths({2: True}), "json")
+        assert json.loads(text)["wip_timeseries"][0]["queue_lengths"] == {"2": 1}
+
+    def test_a_float_queue_length_is_refused_as_a_float_count_is(self):
+        run = self._run_with_first_lengths({2: 1})
+        with pytest.raises(TypeError) as count:
+            hl.emit_report(dataclasses.replace(run, released=1.5), "json")
+        with pytest.raises(TypeError) as length:
+            hl.emit_report(self._run_with_first_lengths({2: 1.5}), "json")
+        assert str(length.value) == str(count.value)
+
 
 class TestPlotData:
     def test_empty_sweep_rejected(self):

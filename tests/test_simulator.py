@@ -491,7 +491,8 @@ def test_seeded_synthetic_runs_are_pinned(seed, n, shape, config, digest):
 def test_heap_pushes_are_pinned(monkeypatch, shirt_plan, balanced):
     # a service start runs in the step that frees its server or fills its
     # queue; a START event is pushed only for the first release and where a
-    # queue slot opens, to wake the stage upstream and the loader
+    # queue slot opens, to wake the stage upstream and the loader. The ARRIVE
+    # an END schedules is held out of the heap and enters it by heappushpop
     kinds = collections.Counter()
 
     class CountingHeap:
@@ -501,6 +502,11 @@ def test_heap_pushes_are_pinned(monkeypatch, shirt_plan, balanced):
         def heappush(heap, item):
             kinds[item[3]] += 1
             heapq.heappush(heap, item)
+
+        @staticmethod
+        def heappushpop(heap, item):
+            kinds[item[3]] += 1
+            return heapq.heappushpop(heap, item)
 
     monkeypatch.setattr(simulator, "heapq", CountingHeap)
     hl.simulate(shirt_plan, balanced.allocation, SimConfig(horizon_s=hours(9), warmup_s=hours(1)))
