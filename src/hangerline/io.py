@@ -214,11 +214,12 @@ def fixture_path(name: str) -> Path:
 # byte as json.dumps(indent=2) writes the plain data, which is never built. A
 # dataclass is an object: "kind" first for a report kind (see _REPORTS), one
 # key per field in field order, then the kind's derived keys.
-# Fractions become "num/den" strings; floats (uniform-mode utilizations) stay
-# numbers. Dicts keyed by task id get string keys, an int-valued one in a single
-# comprehension; an Allocation is its station map. A kind may bring its own
-# codec for a simulation's WIP samples, the bulk of its document (see _Kind).
-# report_from_dict reads it back.
+# Fractions become "num/den" strings; floats (in hand-built reports, or the
+# utilizations of uniform simulation documents written before uniform runs
+# were exact) stay numbers. Dicts keyed by task id get string keys, an
+# int-valued one in a single comprehension; an Allocation is its station map.
+# A kind may bring its own codec for a simulation's WIP samples, the bulk of
+# its document (see _Kind). report_from_dict reads it back.
 
 # field name -> JSON key, where the two differ
 _KEYS = {"line_ct_regular": "regular", "line_ct_best": "best", "line_ct_worst": "worst"}

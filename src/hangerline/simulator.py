@@ -41,20 +41,18 @@ the state the pass left.
 Time runs on one clock whose tick is 1/scale seconds, where scale is the
 least common multiple of the denominators of the horizon, warmup, transfer
 delay and sample interval, and under deterministic service also of the task
-cycle times. Deterministic runs are therefore exact integer arithmetic. Under
-uniform service each drawn service time is a float number of ticks, while the
-sample instants stay exact multiples of the interval. Sample times and exact
-utilizations are turned back into Fractions of a second only in the result.
-With power-of-two denominators (all integer times included) uniform results
-equal those of a float-seconds clock bit for bit; otherwise they differ from
-it only in float rounding, which can move an event across a sample instant.
+cycle times. Under uniform service it is that of each stage's band low end
+and width, times 2^53: random() returns k / 2^53, so every draw is a whole
+number of ticks. Every run is therefore exact integer arithmetic, and times
+and utilizations are turned back into Fractions of a second only in the
+result. Before it starts, a run counts its events at the line's fastest pace
+(each stage at its band's low end), and one above MAX_SIM_EVENTS is refused.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import random
-import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -73,6 +71,10 @@ from .model import (
 )
 
 _SERVICE_MODELS = ("deterministic", "uniform")
+# the most stage visits plus WIP samples a run takes on, counted at the line's
+# fastest pace: ~3 s at ~650k visits/s (the 1,100 h shirt run, 1.88M visits,
+# 2.9 s wall on one core of a 2-vCPU Xeon)
+MAX_SIM_EVENTS = 2_000_000
 
 # event kinds, in tie-break order after (time, stage, piece)
 _ARRIVE, _END, _START, _SAMPLE = 0, 1, 2, 3
@@ -170,22 +172,28 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
     uniform = config.service_model == "uniform"
     if uniform:
         # a stage's deviations widen its effective time, so a server's raw band is
-        # s_i times it. lo + width * random() is how random.uniform draws
+        # s_i times it. random() is k / 2^53, so a draw lo + width * random() is
+        # lo + (width / 2^53) * k, a whole number of ticks on a clock scaled by 2^53
         from .robust import effective_intervals  # only here: a deterministic run loads no robust or metrics
 
         intervals = effective_intervals(plan, allocation, config.alpha).values()
-        bounds = [(float(k * iv.lo), float(k * iv.hi)) for k, iv in zip(s, intervals)]
-        low, width = [lo for lo, _ in bounds], [hi - lo for lo, hi in bounds]
+        bands = [(k * iv.lo, k * (iv.hi - iv.lo)) for k, iv in zip(s, intervals)]
         draw = random.Random(config.seed).random
+    else:
+        bands = [(t.cycle_time, Fraction(0)) for t in plan.tasks]
 
-    # the clock counts ticks of 1/scale s, so every exact time is an int
+    # the clock counts ticks of 1/scale s, so every time is an int
     exact = [config.horizon_s, config.warmup_s, config.transfer_delay_s, config.sample_interval_s]
-    if not uniform:
-        exact += [t.cycle_time for t in plan.tasks]
-    scale = math.lcm(*(x.denominator for x in exact))
-    if uniform and scale > sys.float_info.max:
-        raise DomainError(f"config times need {scale} ticks per second, beyond a float clock")
-    horizon, warmup, delay, interval, *raw_time = (x.numerator * (scale // x.denominator) for x in exact)
+    unit = math.lcm(*(x.denominator for x in exact + [x for band in bands for x in band]))
+    scale = unit << 53 if uniform else unit
+    exact += [lo for lo, _ in bands]
+    horizon, warmup, delay, interval, *low = (x.numerator * (scale // x.denominator) for x in exact)
+    width = [w.numerator * (unit // w.denominator) for _, w in bands]
+    # pieces through every stage at the line's fastest pace, plus the WIP samples
+    events = n * min(-(-horizon * k // t) for k, t in zip(s, low)) + horizon // interval
+    if events > MAX_SIM_EVENTS:
+        needs = events if events < 10**100 else "over 10^100"  # str() refuses an int past 4,300 digits
+        raise DomainError(f"the run needs {needs} events, above the limit of {MAX_SIM_EVENTS}")
     cap = config.queue_capacity
     window = config.horizon_s - config.warmup_s
     # the loader's CONWIP limit on the front WIP
@@ -256,7 +264,7 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
             else:
                 break
             servers_busy[i] += 1
-            end = t + ((low[i] + width[i] * draw()) * scale if uniform else raw_time[i])
+            end = t + (low[i] + width[i] * int(draw() * 2.0**53) if uniform else low[i])
             lo = t if t > warmup else warmup  # the service's span inside the window
             hi = end if end < horizon else horizon
             busy_time[i] += hi - lo if hi > lo else 0
@@ -272,15 +280,7 @@ def simulate(plan: ProcessPlan, allocation: Allocation, config: SimConfig) -> Si
 
     in_flight = _in_flight(config.horizon_s, released, completed_total, map(len, queue), servers_busy, inbound)
 
-    # float busy time (uniform service) gives a float share, int ticks an exact
-    # one. An exact busy time never exceeds the stage's server ticks in the
-    # window, so clamping the float sum to them removes only its rounding.
-    utilization = {}
-    for i, busy in enumerate(busy_time):
-        capacity = s[i] * (horizon - warmup)
-        utilization[plan.tasks[i].id] = (
-            min(busy, capacity) / capacity if isinstance(busy, float) else Fraction(busy, capacity)
-        )
+    utilization = {t.id: Fraction(busy, k * (horizon - warmup)) for t, k, busy in zip(plan.tasks, s, busy_time)}
     return SimResult(
         plan=plan,
         allocation=allocation,

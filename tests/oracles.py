@@ -198,16 +198,17 @@ def simulate(plan: hl.ProcessPlan, allocation: hl.Allocation, config: hl.SimConf
     n = len(plan.tasks)
     s = [allocation.count(t.id) for t in plan.tasks]
     uniform = config.service_model == "uniform"
-    if uniform:
-        intervals = hl.effective_intervals(plan, allocation, config.alpha).values()
-        bounds = [(float(k * iv.lo), float(k * iv.hi)) for k, iv in zip(s, intervals)]
-        low, width = [lo for lo, _ in bounds], [hi - lo for lo, hi in bounds]
-        draw = random.Random(config.seed).random
-
     exact = [config.horizon_s, config.warmup_s, config.transfer_delay_s, config.sample_interval_s]
-    if not uniform:
+    if uniform:
+        # random() is k / 2^53, which Fraction reads exactly: each service time
+        # is a rational whose denominator divides the band's times 2^53
+        intervals = hl.effective_intervals(plan, allocation, config.alpha).values()
+        bands = [(k * iv.lo, k * (iv.hi - iv.lo)) for k, iv in zip(s, intervals)]
+        draw = random.Random(config.seed).random
+        exact += [x for band in bands for x in band]
+    else:
         exact += [t.cycle_time for t in plan.tasks]
-    scale = math.lcm(*(x.denominator for x in exact))
+    scale = math.lcm(*(x.denominator for x in exact)) * (2**53 if uniform else 1)
     horizon, warmup, delay, interval, *raw_time = (x.numerator * (scale // x.denominator) for x in exact)
     cap = config.queue_capacity
     front_limit = (s[1] if cap is None else min(s[1], cap)) + s[0] - 1 if n > 1 else None
@@ -270,7 +271,13 @@ def simulate(plan: hl.ProcessPlan, allocation: hl.Allocation, config: hl.SimConf
             else:
                 break
             servers_busy[i] += 1
-            end = t + ((low[i] + width[i] * draw()) * scale if uniform else raw_time[i])
+            if uniform:
+                lo_s, width_s = bands[i]
+                ticks = (lo_s + width_s * Fraction(draw())) * scale
+                assert ticks.denominator == 1
+                end = t + ticks.numerator
+            else:
+                end = t + raw_time[i]
             lo = t if t > warmup else warmup
             hi = end if end < horizon else horizon
             busy_time[i] += hi - lo if hi > lo else 0
@@ -284,12 +291,7 @@ def simulate(plan: hl.ProcessPlan, allocation: hl.Allocation, config: hl.SimConf
                 heapq.heappush(heap, (t, 0, 0, _START))
 
     in_flight = in_flight_at(config.horizon_s)
-    utilization = {}
-    for i, busy in enumerate(busy_time):
-        capacity = s[i] * (horizon - warmup)
-        utilization[plan.tasks[i].id] = (
-            min(busy, capacity) / capacity if isinstance(busy, float) else Fraction(busy, capacity)
-        )
+    utilization = {t.id: Fraction(busy_time[i], s[i] * (horizon - warmup)) for i, t in enumerate(plan.tasks)}
     return hl.SimResult(
         plan=plan, allocation=allocation, config=config, completed=completed,
         completed_total=completed_total, released=released,

@@ -324,8 +324,12 @@ class TestReportRoundTrips:
             devs_plan, alloc,
             SimConfig(horizon_s=1800, warmup_s=600, service_model="uniform", seed=3),
         )
-        assert any(isinstance(u, float) for u in run.utilization.values())
+        assert all(type(u) is Fraction for u in run.utilization.values())
         assert hl.parse_report(hl.emit_report(run, "json")) == run
+        # a document written before uniform runs were exact holds float shares
+        floats = dataclasses.replace(run, utilization={k: float(u) for k, u in run.utilization.items()})
+        back = hl.parse_report(hl.emit_report(floats, "json"))
+        assert back == floats and all(type(u) is float for u in back.utilization.values())
 
     @pytest.mark.parametrize("tamper", [
         {"alpha": "7", "d_plus": "-3"},
@@ -1112,8 +1116,11 @@ def test_json_writer_oracle_sees_each_awkward_case(shirt_plan, devs_plan, balanc
         ),
     }
     sim, enum_sim, bal, robust, uniform = cases.values()
+    cases["float utilization"] = dataclasses.replace(
+        uniform, utilization={k: float(u) for k, u in uniform.utilization.items()}
+    )
     assert sim.wip_timeseries[0].queue_lengths == {} and bal.iterations == () and robust.alpha is None
     assert repr(enum_sim.plan.tasks[0].id) == "<ids.cut: 1>"
-    assert any(isinstance(u, float) for u in uniform.utilization.values())
+    assert all(type(u) is Fraction for u in uniform.utilization.values())
     for name, report in cases.items():
         assert hl.emit_report(report, "json") == _oracle_json(report), name

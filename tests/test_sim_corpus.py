@@ -8,6 +8,7 @@ documents. The shirt line's 9 h `simulate --verify` and its uniform capped run
 (seed 7, queue cap 5) are kept as text files under tests/golden, so a change
 shows as a diff.
 """
+import dataclasses
 import hashlib
 import io
 import math
@@ -83,7 +84,7 @@ def _digest(texts):
      "fbc3e37cc17a3072fa1b9c4cae2504ad63530d5b20830371407e1458fe1e43ca",
      "29f2e286b4956be372fb6a85d3df35acac8972dc7ea0d39b040a59cdc6e38f39"),
     ("uniform",
-     "a9c9a9ecdf0eb7fb8122e02d5ecaf6e1c4caabb9ccfd4b126a489cb641c8406b",
+     "274f242d8400379f847485298833e667c80f1dee86acc3c013ca6483ce29576d",
      "da1e801b6c320d46fbaafcda484e578497fbb99388c3d3d0644b13bbbe576947"),
 ], ids=["deterministic", "uniform"])
 def test_corpus_documents_are_pinned(service, json_digest, table_digest):
@@ -106,3 +107,16 @@ def test_shirt_simulate_output_is_pinned(name, args, tasks_csv_path):
     with redirect_stdout(out):
         assert main(["simulate", "--tasks", tasks_csv_path, "--seats", "32", *args]) == 0
     assert out.getvalue() == (GOLDEN / name).read_text()
+
+
+def test_a_document_with_float_utilizations_still_reads():
+    # written when uniform runs drew float service times and kept float shares:
+    # it reads and writes back byte for byte, and the exact rerun of its config
+    # differs from it only in the shares, each by float rounding
+    text = (GOLDEN / "uniform_float_utilization.json").read_text()
+    report = hl.parse_report(text)
+    assert all(type(u) is float for u in report.utilization.values())
+    assert hl.emit_report(report, "json") == text
+    rerun = hl.simulate(report.plan, report.allocation, report.config)
+    assert dataclasses.replace(rerun, utilization=report.utilization) == report
+    assert all(abs(rerun.utilization[k] - u) < 1e-12 for k, u in report.utilization.items())
